@@ -11,6 +11,7 @@ import (
 	"lynx/internal/apps/kvstore"
 	"lynx/internal/check"
 	"lynx/internal/fault"
+	"lynx/internal/model"
 	"lynx/internal/netstack"
 	"lynx/internal/sim"
 	"lynx/internal/workload"
@@ -290,4 +291,47 @@ func TestRackShardingSpreadsOwnership(t *testing.T) {
 		}
 	}
 	rack.TB.Sim.Shutdown()
+}
+
+// TestRackReplicatedSendChargedOnce: a write whose response the replicator
+// parks for peer acks is charged its transport send once, by the pump that
+// releases it — so batching, which only amortizes the serialized section,
+// must not change how many exec calls a write costs. Node 0's exec calls per
+// received request are equal under the zero BatchConfig and under
+// DefaultBatchConfig on a write-only RF=3 workload against its own keys.
+func TestRackReplicatedSendChargedOnce(t *testing.T) {
+	perReq := func(batch model.BatchConfig) float64 {
+		p := model.Default()
+		p.Batch = batch
+		rack, err := Build(Config{Nodes: 3, Replicas: 3, Seed: 3, Params: &p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rack.Close()
+		keys := rack.OwnedKeys(0)
+		if len(keys) == 0 {
+			t.Fatal("node 0 owns no keys")
+		}
+		res := rack.Measure(workload.Config{
+			Proto: workload.UDP, Target: rack.Node(0).Addr(), Payload: 64,
+			Body: func(seq uint64, buf []byte) {
+				copy(buf[workload.SeqBytes:],
+					kvstore.EncodeSet(keys[seq%uint64(len(keys))], 0, []byte("value-0123456789")))
+			},
+			Clients: 8, Duration: 5 * time.Millisecond, Warmup: time.Millisecond,
+			Timeout: 2 * time.Millisecond, Retries: 3,
+		})
+		n := rack.Node(0)
+		if res.Received == 0 || n.Repl.Stats().Held == 0 {
+			t.Fatalf("batch %+v: no parked writes (received %d, %v)", batch, res.Received, n.Repl.Stats())
+		}
+		return float64(n.RT.ExecCalls()) / float64(n.RT.Stats().Received)
+	}
+	unbatched := perReq(model.BatchConfig{})
+	batched := perReq(model.DefaultBatchConfig())
+	t.Logf("exec calls per request: unbatched %.4f, batched %.4f", unbatched, batched)
+	if unbatched != batched {
+		t.Errorf("exec calls per replicated write: unbatched %.4f, batched %.4f; a parked response's send must be charged once",
+			unbatched, batched)
+	}
 }

@@ -1,15 +1,19 @@
-// Task-substrate forms of the runtime's hot-path stages. Each function here
-// is a continuation-passing port of its coroutine counterpart in runtime.go /
+// Task-substrate forms of the runtime's hot-path stages. The always-on
+// stages Start() hosts on Tasks are the UDP receive workers (batched and
+// unbatched) and the Remote MQ Manager sweep with its forwarders — the
+// processes that wake for every single message. Cold and connection-scoped
+// paths (TCP accept/rx, pipeline frontends, client bindings, retry timers,
+// the replication pump) stay on coroutine Procs.
+//
+// Where a stage is still needed on both substrates (exec, execParallel,
+// Service.dispatch, Pipeline.pushStage), the Task form here is a
+// continuation-passing port of its coroutine counterpart in runtime.go /
 // pipeline.go and must stay operation-for-operation identical to it: same
 // order of exec charges, span stamps, tracer emissions, counter updates, and
 // blocking-primitive calls, so that a run is byte-identical whichever
 // substrate hosts the stage (see the seq-parity contract in internal/sim).
-//
-// The always-on stages Start() hosts on Tasks are the UDP receive workers
-// (batched and unbatched) and the Remote MQ Manager sweep — the processes
-// that wake for every single message. Cold and connection-scoped paths
-// (TCP accept/rx, pipeline frontends, client bindings, retry timers) stay on
-// coroutine Procs.
+// The batched dispatcher, the forwarders and the pipeline relay exist only
+// here: nothing hosts them on a coroutine, so they have no Proc twin.
 package core
 
 import (
@@ -76,7 +80,14 @@ func (rt *Runtime) execT(t *sim.Task, cost time.Duration, k func(qw time.Duratio
 	rt.serial.WithT(t, ser, f.afterSerial)
 }
 
-// execBatchT is execBatch for tasks.
+// execBatchT charges the frontend CPU work of n equal-cost messages processed
+// in one pass, and k runs with the queueing wait. The serialized section is
+// entered once for the whole run: its per-message fixed portion
+// (model.SerialBatchFixed — the ring doorbell read, dispatcher lock handoff)
+// is paid once, the remainder scales with n; the parallel share is n full
+// units, since per-message payload work does not amortize. The caller
+// apportions the wait across the run's spans with shareWait, so attribution
+// stays telescoping-exact. With n == 1 it is execT, charge for charge.
 func (rt *Runtime) execBatchT(t *sim.Task, cost time.Duration, n int, k func(qw time.Duration)) {
 	if n <= 1 {
 		rt.execT(t, cost, k)
@@ -110,15 +121,7 @@ func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netsta
 	rt := s.rt
 	rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
 	rt.execT(t, rt.plat.Params.DispatchCost, func(qw time.Duration) {
-		qi := s.policy.Pick(from, len(s.queues))
-		if s.queues[qi].failed {
-			for off := 1; off < len(s.queues); off++ {
-				if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
-					qi = alt
-					break
-				}
-			}
-		}
+		qi := s.pick(from)
 		bq := s.queues[qi]
 		id := trace.SpanID(payload)
 		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
@@ -126,12 +129,7 @@ func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netsta
 		rt.plat.Spans.SetQueue(id, qi)
 		bq.q.PushT(t, payload, 0, func(slot int, err error) {
 			if err != nil {
-				cause := DropOverflow
-				if bq.failed {
-					cause = DropStalled
-				}
-				rt.drop(t.Now(), cause, uint64(qi))
-				rt.plat.Spans.Close(id, trace.SpanDropped, t.Now())
+				s.shed(t.Now(), bq, qi, id)
 				k()
 				return
 			}
@@ -147,10 +145,22 @@ func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netsta
 	})
 }
 
-// dispatchBatchT is Service.dispatchBatch for tasks: the per-message
-// preparation loop is sequential (a refresh inside PrepareWriteT parks the
-// task and the loop resumes in its continuation), exactly as the coroutine
-// loop blocks mid-iteration.
+// dispatchBatchT delivers a run of ready datagrams as one dispatcher
+// scheduling quantum (Params.Batch.Quantum > 1): the serialized section is
+// entered once for the whole run, every message's slot is reserved and its
+// reply bookkeeping recorded before any RDMA is posted, and the
+// message-bearing writes are posted in doorbell groups with a checkpointed
+// completion wait — ceil(k/doorbell) issue charges and ceil(k/cqDrain)
+// wakeups for a k-message quantum.
+//
+// Bookkeeping must precede posting: with only checkpoint completions
+// awaited, an early message of the batch lands — and its response can race
+// back through the MQ manager — before the posting context regains control.
+// Reserving the pending-reply FIFO entry at preparation time keeps that
+// response from being misread as an orphan. StagePushed is stamped by the
+// write's delivery hook exactly as in the per-message path. The preparation
+// loop is sequential: a refresh inside PrepareWriteT parks the task and the
+// loop resumes in its continuation.
 func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func()) {
 	rt := s.rt
 	n := len(dgs)
@@ -195,14 +205,8 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 			postNext()
 		}
 		finish := func(i, qi int, bq *boundQueue, wr rdma.WR, slot int, err error) {
-			id := trace.SpanID(dgs[i].Payload)
 			if err != nil {
-				cause := DropOverflow
-				if bq.failed {
-					cause = DropStalled
-				}
-				rt.drop(t.Now(), cause, uint64(qi))
-				rt.plat.Spans.Close(id, trace.SpanDropped, t.Now())
+				s.shed(t.Now(), bq, qi, trace.SpanID(dgs[i].Payload))
 				return
 			}
 			bq.pending[slot] = append(bq.pending[slot], replyTo{udpFrom: dgs[i].From})
@@ -216,15 +220,7 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 		prep = func(i int) {
 			for ; i < n; i++ {
 				payload := dgs[i].Payload
-				qi := s.policy.Pick(dgs[i].From, len(s.queues))
-				if s.queues[qi].failed {
-					for off := 1; off < len(s.queues); off++ {
-						if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
-							qi = alt
-							break
-						}
-					}
-				}
+				qi := s.pick(dgs[i].From)
 				bq := s.queues[qi]
 				id := trace.SpanID(payload)
 				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
@@ -246,102 +242,66 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 	})
 }
 
-// forwardResponseT is Service.forwardResponse for tasks.
-func (s *Service) forwardResponseT(t *sim.Task, bq *boundQueue, msg mqueue.TxMsg, k func()) {
-	rt := s.rt
-	rt.plat.Tracer.Emit(t.Now(), trace.Drain, uint64(msg.Slot), uint64(msg.Corr))
-	id := trace.SpanID(msg.Payload)
-	rt.plat.Spans.Stamp(id, trace.StageDrain, t.Now())
-	rt.execT(t, rt.plat.Params.ForwardCost, func(qw time.Duration) {
-		fifo := bq.pending[msg.Corr]
-		if len(fifo) == 0 {
-			rt.plat.Check.Failf("core.orphan-response",
-				"service port %d: TX message for slot %d has no pending request", s.port, msg.Corr)
-			k()
-			return
-		}
-		to := fifo[0]
-		bq.pending[msg.Corr] = fifo[1:]
-		if s.repl != nil && s.repl.onResponse(to, msg.Payload) {
-			// Parked for peer acks: the replicator's pump finishes the
-			// forward (same rule as the coroutine form).
-			k()
-			return
-		}
-		rt.inTransit++
-		finish := func(qw time.Duration) {
-			rt.stats.Responded++
-			rt.inTransit--
-			rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-			rt.plat.Spans.Stamp(id, trace.StageForward, t.Now())
-			rt.plat.Tracer.Emit(t.Now(), trace.Forward, uint64(len(msg.Payload)), 0)
-			k()
-		}
-		switch s.proto {
-		case UDP:
-			rt.execT(t, rt.udpCost(), func(qw2 time.Duration) {
-				s.udpSock.SendTo(to.udpFrom, msg.Payload)
-				finish(qw + qw2)
-			})
-		case TCP:
-			rt.execT(t, rt.tcpCost(), func(qw2 time.Duration) {
-				if to.conn != nil {
-					_ = to.conn.Send(nil, msg.Payload)
-				}
-				finish(qw + qw2)
-			})
-		}
-	})
-}
-
-// forwardResponseBatchT is Service.forwardResponseBatch for tasks.
-func (s *Service) forwardResponseBatchT(t *sim.Task, bq *boundQueue, msgs []mqueue.TxMsg, k func()) {
+// forwardResponsesT is the Message Forwarder: it routes the run of TX
+// messages drained from one server queue in a single manager sweep visit
+// back to their clients, entering the serialized section once per charge for
+// the whole run. Each response first pops its reply FIFO, is checked for an
+// orphan, and may be parked by the replicator for peer acks; only the m
+// responses left are then charged the transport send cost and sent. A parked
+// response is charged its send once, by the replicator's pump, when its
+// quorum releases it. msgs is compacted in place to the sent responses, whose
+// destinations go into tos (scratch of at least len(msgs)); every sent span
+// gets its share of the whole visit's wait, split over all n drained. With a
+// single message the charges are two plain exec calls.
+func (s *Service) forwardResponsesT(t *sim.Task, bq *boundQueue, msgs []mqueue.TxMsg, tos []replyTo, k func()) {
 	rt := s.rt
 	n := len(msgs)
-	if n == 0 {
-		k()
-		return
-	}
 	for i := range msgs {
 		rt.plat.Tracer.Emit(t.Now(), trace.Drain, uint64(msgs[i].Slot), uint64(msgs[i].Corr))
 		rt.plat.Spans.Stamp(trace.SpanID(msgs[i].Payload), trace.StageDrain, t.Now())
 	}
 	rt.execBatchT(t, rt.plat.Params.ForwardCost, n, func(qw time.Duration) {
-		var cost time.Duration
-		switch s.proto {
-		case UDP:
-			cost = rt.udpCost()
-		case TCP:
+		m := 0
+		for _, msg := range msgs {
+			fifo := bq.pending[msg.Corr]
+			if len(fifo) == 0 {
+				// Response without a matching request (app bug); drop.
+				rt.plat.Check.Failf("core.orphan-response",
+					"service port %d: TX message for slot %d has no pending request", s.port, msg.Corr)
+				continue
+			}
+			to := fifo[0]
+			bq.pending[msg.Corr] = fifo[1:]
+			if s.repl != nil && s.repl.onResponse(to, msg.Payload) {
+				continue
+			}
+			rt.inTransit++
+			msgs[m], tos[m] = msg, to
+			m++
+		}
+		if m == 0 {
+			k()
+			return
+		}
+		cost := rt.udpCost()
+		if s.proto == TCP {
 			cost = rt.tcpCost()
 		}
-		rt.execBatchT(t, cost, n, func(qw2 time.Duration) {
+		rt.execBatchT(t, cost, m, func(qw2 time.Duration) {
 			qw += qw2
-			for i := range msgs {
-				msg := msgs[i]
-				id := trace.SpanID(msg.Payload)
-				fifo := bq.pending[msg.Corr]
-				if len(fifo) == 0 {
-					rt.plat.Check.Failf("core.orphan-response",
-						"service port %d: TX message for slot %d has no pending request", s.port, msg.Corr)
-					continue
-				}
-				to := fifo[0]
-				bq.pending[msg.Corr] = fifo[1:]
-				if s.repl != nil && s.repl.onResponse(to, msg.Payload) {
-					continue
-				}
-				rt.inTransit++
+			for j, msg := range msgs[:m] {
 				switch s.proto {
 				case UDP:
-					s.udpSock.SendTo(to.udpFrom, msg.Payload)
+					s.udpSock.SendTo(tos[j].udpFrom, msg.Payload)
 				case TCP:
-					if to.conn != nil {
-						_ = to.conn.Send(nil, msg.Payload)
+					if tos[j].conn != nil {
+						_ = tos[j].conn.Send(nil, msg.Payload)
 					}
 				}
 				rt.stats.Responded++
 				rt.inTransit--
-				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
+				id := trace.SpanID(msg.Payload)
+				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, j))
 				rt.plat.Spans.Stamp(id, trace.StageForward, t.Now())
 				rt.plat.Tracer.Emit(t.Now(), trace.Forward, uint64(len(msg.Payload)), 0)
 			}
@@ -350,7 +310,8 @@ func (s *Service) forwardResponseBatchT(t *sim.Task, bq *boundQueue, msgs []mque
 	})
 }
 
-// forwardOutT is ClientBinding.forwardOut for tasks.
+// forwardOutT ships one accelerator-originated message of a client mqueue
+// to its backend.
 func (cb *ClientBinding) forwardOutT(t *sim.Task, msg mqueue.TxMsg, k func()) {
 	rt := cb.rt
 	rt.plat.Tracer.Emit(t.Now(), trace.BackendOut, uint64(len(msg.Payload)), uint64(cb.qi))
@@ -373,6 +334,9 @@ func (cb *ClientBinding) forwardOutT(t *sim.Task, msg mqueue.TxMsg, k func()) {
 			rt.execParallelT(t, rt.tcpCost(), func(time.Duration) {
 				if cb.conn != nil {
 					if err := cb.conn.Send(nil, msg.Payload); err != nil {
+						// Report the connection error through mqueue
+						// metadata (§5.1): push an empty error-flagged
+						// message.
 						cb.bq.q.PushT(t, nil, 1, func(int, error) { k() })
 						return
 					}
@@ -402,7 +366,8 @@ func (pl *Pipeline) pushStageT(t *sim.Task, stage int, payload []byte, to replyT
 	})
 }
 
-// advanceT is Pipeline.advance for tasks.
+// advanceT handles a TX message from pipeline stage i: relay it to stage
+// i+1 (one dispatch cost, no network stack) or answer the client.
 func (pl *Pipeline) advanceT(t *sim.Task, stage int, pq *pipeQueue, msg mqueue.TxMsg, k func()) {
 	rt := pl.rt
 	fifo := pq.pending[msg.Corr]

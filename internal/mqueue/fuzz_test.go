@@ -67,7 +67,7 @@ func FuzzRingWraparound(f *testing.F) {
 						continue
 					}
 				}
-				if msg, ok := snicQ.Poll(p); ok {
+				if msg, ok := pollOne(p, snicQ); ok {
 					if !bytes.Equal(msg.Payload, payload(rcvd)) {
 						t.Errorf("response %d corrupted (%d bytes)", rcvd, len(msg.Payload))
 					}

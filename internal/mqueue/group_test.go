@@ -53,12 +53,9 @@ func TestGroupEndToEnd(t *testing.T) {
 			g.Refresh(p)
 			for qi := 0; qi < nq; qi++ {
 				q := g.Queue(qi)
-				for {
-					msg, ok := q.PopTx(p)
-					if !ok {
-						break
-					}
-					got[qi] = append(got[qi], string(msg.Payload))
+				var buf [1]TxMsg
+				for q.PopTxMany(p, 1, buf[:]) == 1 {
+					got[qi] = append(got[qi], string(buf[0].Payload))
 					total++
 				}
 				q.CommitTx(p)
@@ -118,10 +115,9 @@ func TestGroupDrainOpCount(t *testing.T) {
 		g.Refresh(p)
 		for i := 0; i < nq; i++ {
 			q := g.Queue(i)
-			for {
-				if _, ok := q.PopTx(p); !ok {
-					break
-				}
+			var buf [1]TxMsg
+			for q.PopTxMany(p, 1, buf[:]) == 1 {
+				// Only the RDMA op count matters here.
 			}
 			q.CommitTx(p)
 		}
@@ -155,10 +151,9 @@ func TestGroupTxBackpressure(t *testing.T) {
 		drainAt = p.Now()
 		q := g.Queue(0)
 		q.Refresh(p)
-		for {
-			if _, ok := q.PopTx(p); !ok {
-				break
-			}
+		var buf [1]TxMsg
+		for q.PopTxMany(p, 1, buf[:]) == 1 {
+			// Drain everything so the accelerator's Send can proceed.
 		}
 		q.CommitTx(p)
 	})

@@ -97,9 +97,10 @@ type Config struct {
 	// violations observed on the SNIC side of the queue. Nil costs one
 	// pointer test per operation.
 	Check *check.Checker
-	// Spans, when non-nil, receives SNIC-side queue-wait attribution: PopTx
-	// books the TX-ring residency (drain start minus StageAccelSent) against
-	// the span's queueing phase. Nil costs one pointer test per drain.
+	// Spans, when non-nil, receives SNIC-side queue-wait attribution:
+	// PopTxMany books the TX-ring residency (drain start minus
+	// StageAccelSent) against the span's queueing phase. Nil costs one
+	// pointer test per drain.
 	Spans *trace.SpanTable
 	// ReplSpans, when non-nil, marks the queue as a replication ingest ring:
 	// each record-bearing write stamps StageReplPushed for the record's span
@@ -318,53 +319,22 @@ func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(sl
 	}
 }
 
-// PrepareWrite reserves the next RX slot and returns the coalesced work
+// PrepareWriteT reserves the next RX slot and returns the coalesced work
 // request that delivers payload into it, without posting. Callers collect
-// WRs from several PrepareWrite calls — across all queues of a group, which
-// share a QP — and post them together (rdma.PostAndWait) so a k-message
+// WRs from several PrepareWriteT calls — across all queues of a group, which
+// share a QP — and post them together (rdma.PostAndWaitT) so a k-message
 // quantum costs ceil(k/doorbell) issue charges and ceil(k/cqDrain) wakeups
-// instead of k of each. Flow control (one header Refresh retry, then
+// instead of k of each. Flow control (one header refresh retry, then
 // ErrQueueFull), slot reservation before any yield, ring-bound checking and
-// delivery-time StagePushed stamping are identical to Push. Coalesced mode
-// only: the barrier and no-coalesce ablations model per-message transaction
-// splits that multi-WQE posting cannot honestly amortize.
-func (q *Queue) PrepareWrite(p *sim.Proc, payload []byte, errStatus byte) (rdma.WR, int, error) {
-	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWrite requires coalesced mode")
-	}
-	if len(payload) > q.cfg.MaxPayload() {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.Refresh(p)
-		if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-			q.full++
-			return rdma.WR{}, 0, ErrQueueFull
-		}
-	}
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	q.pushed++
-	return rdma.WR{
-		Op:        rdma.OpWrite,
-		Region:    q.region,
-		Offset:    q.lay.rxSlot(q.cfg, slot),
-		Data:      buildSlot(payload, errStatus, 0, 1),
-		OnDeliver: q.stampPushed(payload),
-	}, slot, nil
-}
-
-// PrepareWriteT is PrepareWrite for tasks. When no header refresh is needed
-// (the common case — the ring has known free slots) the WR returns inline
-// with ok=true and k never runs; otherwise the task parks in the refresh and
-// k runs with the result. Reservation and checks match PrepareWrite exactly.
+// delivery-time StagePushed stamping are identical to Push. When no header
+// refresh is needed (the common case — the ring has known free slots) the WR
+// returns inline with ok=true and k never runs; otherwise the task parks in
+// the refresh and k runs with the result. Coalesced mode only: the barrier
+// and no-coalesce ablations model per-message transaction splits that
+// multi-WQE posting cannot honestly amortize.
 func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k func(rdma.WR, int, error)) (rdma.WR, int, error, bool) {
 	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWrite requires coalesced mode"), true
+		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWriteT requires coalesced mode"), true
 	}
 	if len(payload) > q.cfg.MaxPayload() {
 		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()), true
@@ -386,7 +356,7 @@ func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k fun
 }
 
 // reserveWrite reserves the next RX slot and builds its coalesced WR (the
-// non-blocking tail of PrepareWrite).
+// non-blocking tail of PrepareWriteT).
 func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
 	slot := int(q.rxHead % uint64(q.cfg.Slots))
 	q.rxHead++
@@ -515,109 +485,63 @@ type TxMsg struct {
 	Slot    int
 }
 
-// PopTx drains the next TX message (one full-slot RDMA READ). The caller
-// must have observed Ready(); it must eventually call CommitTx so the
-// accelerator sees the slots freed.
-func (q *Queue) PopTx(p *sim.Proc) (TxMsg, bool) {
-	if !q.Ready() {
-		return TxMsg{}, false
-	}
-	drainStart := p.Now()
-	slot := int(q.txTail % uint64(q.cfg.Slots))
-	off := q.lay.txSlot(q.cfg, slot)
-	raw := q.qp.Read(p, q.region, off, q.cfg.SlotSize)
-	if raw[offDoorbell] == 0 {
-		// Counter said ready but the slot write is not visible — cannot
-		// happen with local accelerator stores (strong ordering), kept as
-		// a guard.
-		q.cfg.Check.Failf("mqueue.doorbell-miss",
-			"TX slot %d counted ready (seen %d, drained %d) but doorbell clear", slot, q.txSeen, q.txTail)
-		return TxMsg{}, false
-	}
-	size := int(raw[offSize]) | int(raw[offSize+1])<<8
-	corr := uint16(raw[offCorr]) | uint16(raw[offCorr+1])<<8
-	if size > q.cfg.MaxPayload() {
-		size = q.cfg.MaxPayload()
-	}
-	payload := make([]byte, size)
-	copy(payload, raw[HeaderBytes:HeaderBytes+size])
-	q.txTail++
-	q.txDirty = true
-	q.polled++
-	if sp := q.cfg.Spans; sp != nil {
-		// TX-drain wait: the response sat in the ring from its publication
-		// (StageAccelSent) until this sweep reached it.
-		id := trace.SpanID(payload)
-		if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-			sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-		}
-	}
-	return TxMsg{Payload: payload, Err: raw[offError], Corr: corr, Slot: slot}, true
-}
-
-// PopTxT is PopTx for tasks: k runs with the drained message. k runs inline
-// (with ok=false) only when the cached counters show nothing ready.
-func (q *Queue) PopTxT(t *sim.Task, k func(TxMsg, bool)) {
-	if !q.Ready() {
-		k(TxMsg{}, false)
-		return
-	}
-	drainStart := t.Now()
-	slot := int(q.txTail % uint64(q.cfg.Slots))
-	off := q.lay.txSlot(q.cfg, slot)
-	q.qp.ReadT(t, q.region, off, q.cfg.SlotSize, func(raw []byte) {
-		if raw[offDoorbell] == 0 {
-			q.cfg.Check.Failf("mqueue.doorbell-miss",
-				"TX slot %d counted ready (seen %d, drained %d) but doorbell clear", slot, q.txSeen, q.txTail)
-			k(TxMsg{}, false)
-			return
-		}
-		size := int(raw[offSize]) | int(raw[offSize+1])<<8
-		corr := uint16(raw[offCorr]) | uint16(raw[offCorr+1])<<8
-		if size > q.cfg.MaxPayload() {
-			size = q.cfg.MaxPayload()
-		}
-		payload := make([]byte, size)
-		copy(payload, raw[HeaderBytes:HeaderBytes+size])
-		q.txTail++
-		q.txDirty = true
-		q.polled++
-		if sp := q.cfg.Spans; sp != nil {
-			id := trace.SpanID(payload)
-			if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-				sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-			}
-		}
-		k(TxMsg{Payload: payload, Err: raw[offError], Corr: corr, Slot: slot}, true)
-	})
-}
-
 // PopTxMany drains up to budget TX messages with a single RDMA READ spanning
 // the contiguous run of ready slots, storing them into out and returning the
 // count. The run stops at the ring wrap (the next call picks up the
 // remainder), so one sweep visit costs at most two read round trips instead
-// of one per message. Per-slot parsing, the doorbell-miss guard and the
-// TX-drain wait booking are identical to PopTx; like PopTx, the caller must
-// eventually CommitTx.
+// of one per message; a budget of 1 reads exactly one slot. The caller must
+// eventually CommitTx so the accelerator sees the slots freed.
 func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
+	first, n := q.txRun(budget, out)
+	if n == 0 {
+		return 0
+	}
+	drainStart := p.Now()
+	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize)
+	return q.absorbTx(raw, first, n, drainStart, out)
+}
+
+// PopTxManyT is PopTxMany for tasks: k runs with the number of messages
+// stored into out. k runs inline (with 0) only when nothing is ready.
+func (q *Queue) PopTxManyT(t *sim.Task, budget int, out []TxMsg, k func(n int)) {
+	first, n := q.txRun(budget, out)
+	if n == 0 {
+		k(0)
+		return
+	}
+	drainStart := t.Now()
+	q.qp.ReadT(t, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize, func(raw []byte) {
+		k(q.absorbTx(raw, first, n, drainStart, out))
+	})
+}
+
+// txRun clamps a drain budget to out, to the TX backlog and to the ring
+// wrap, returning the first ring slot of the run and its length.
+func (q *Queue) txRun(budget int, out []TxMsg) (first, n int) {
 	if budget > len(out) {
 		budget = len(out)
 	}
 	if backlog := q.TxBacklog(); budget > backlog {
 		budget = backlog
 	}
-	first := int(q.txTail % uint64(q.cfg.Slots))
+	first = int(q.txTail % uint64(q.cfg.Slots))
 	if run := q.cfg.Slots - first; budget > run {
 		budget = run
 	}
-	if budget <= 0 {
-		return 0
-	}
-	drainStart := p.Now()
-	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), budget*q.cfg.SlotSize)
-	for i := 0; i < budget; i++ {
+	return first, budget
+}
+
+// absorbTx parses the n slots of a spanning TX read that starts at ring slot
+// first into out, advancing the drained counter and booking each span's
+// TX-drain wait. It returns how many slots it parsed, stopping early at a
+// slot whose doorbell is clear.
+func (q *Queue) absorbTx(raw []byte, first, n int, drainStart sim.Time, out []TxMsg) int {
+	for i := 0; i < n; i++ {
 		sraw := raw[i*q.cfg.SlotSize:]
 		if sraw[offDoorbell] == 0 {
+			// Counter said ready but the slot write is not visible —
+			// cannot happen with local accelerator stores (strong
+			// ordering), kept as a guard.
 			q.cfg.Check.Failf("mqueue.doorbell-miss",
 				"TX slot %d counted ready (seen %d, drained %d) but doorbell clear",
 				first+i, q.txSeen, q.txTail)
@@ -634,6 +558,8 @@ func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
 		q.txDirty = true
 		q.polled++
 		if sp := q.cfg.Spans; sp != nil {
+			// TX-drain wait: the response sat in the ring from its
+			// publication (StageAccelSent) until this sweep reached it.
 			id := trace.SpanID(payload)
 			if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
 				sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
@@ -641,57 +567,7 @@ func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
 		}
 		out[i] = TxMsg{Payload: payload, Err: sraw[offError], Corr: corr, Slot: first + i}
 	}
-	return budget
-}
-
-// PopTxManyT is PopTxMany for tasks: k runs with the number of messages
-// stored into out. k runs inline (with 0) only when nothing is ready.
-func (q *Queue) PopTxManyT(t *sim.Task, budget int, out []TxMsg, k func(n int)) {
-	if budget > len(out) {
-		budget = len(out)
-	}
-	if backlog := q.TxBacklog(); budget > backlog {
-		budget = backlog
-	}
-	first := int(q.txTail % uint64(q.cfg.Slots))
-	if run := q.cfg.Slots - first; budget > run {
-		budget = run
-	}
-	if budget <= 0 {
-		k(0)
-		return
-	}
-	drainStart := t.Now()
-	q.qp.ReadT(t, q.region, q.lay.txSlot(q.cfg, first), budget*q.cfg.SlotSize, func(raw []byte) {
-		for i := 0; i < budget; i++ {
-			sraw := raw[i*q.cfg.SlotSize:]
-			if sraw[offDoorbell] == 0 {
-				q.cfg.Check.Failf("mqueue.doorbell-miss",
-					"TX slot %d counted ready (seen %d, drained %d) but doorbell clear",
-					first+i, q.txSeen, q.txTail)
-				k(i)
-				return
-			}
-			size := int(sraw[offSize]) | int(sraw[offSize+1])<<8
-			corr := uint16(sraw[offCorr]) | uint16(sraw[offCorr+1])<<8
-			if size > q.cfg.MaxPayload() {
-				size = q.cfg.MaxPayload()
-			}
-			payload := make([]byte, size)
-			copy(payload, sraw[HeaderBytes:HeaderBytes+size])
-			q.txTail++
-			q.txDirty = true
-			q.polled++
-			if sp := q.cfg.Spans; sp != nil {
-				id := trace.SpanID(payload)
-				if sentAt, ok := sp.StampAt(id, trace.StageAccelSent); ok {
-					sp.AddWait(id, trace.PhaseQueueing, drainStart.Sub(sentAt))
-				}
-			}
-			out[i] = TxMsg{Payload: payload, Err: sraw[offError], Corr: corr, Slot: first + i}
-		}
-		k(budget)
-	})
+	return n
 }
 
 // CommitTx publishes the drained-TX counter to the accelerator (one RDMA
@@ -720,20 +596,6 @@ func (q *Queue) CommitTxT(t *sim.Task, k func()) {
 		q.txDirty = false
 		k()
 	})
-}
-
-// Poll is the standalone-queue convenience: refresh if idle, drain one
-// message, commit. Grouped deployments use Refresh/PopTx/CommitTx directly
-// for batching.
-func (q *Queue) Poll(p *sim.Proc) (TxMsg, bool) {
-	if !q.Ready() {
-		q.Refresh(p)
-	}
-	msg, ok := q.PopTx(p)
-	if ok {
-		q.CommitTx(p)
-	}
-	return msg, ok
 }
 
 // InFlight reports RX messages pushed but not yet known consumed.

@@ -118,7 +118,7 @@ func TestEndToEndEcho(t *testing.T) {
 					continue
 				}
 			}
-			if msg, ok := snicQ.Poll(p); ok {
+			if msg, ok := pollOne(p, snicQ); ok {
 				got = append(got, msg.Payload)
 			} else {
 				p.Sleep(r.params.MQPollInterval)
@@ -357,7 +357,7 @@ func TestIntegrityProperty(t *testing.T) {
 						continue
 					}
 				}
-				if msg, polled := snicQ.Poll(p); polled {
+				if msg, polled := pollOne(p, snicQ); polled {
 					if !bytes.Equal(msg.Payload, mkPayload(rcvd)) {
 						ok = false
 					}
@@ -530,9 +530,9 @@ func TestGroupActivityGate(t *testing.T) {
 }
 
 // drainAll runs an echo flow over a 4-slot ring and returns every response in
-// drain order. With budget 0 it drains one message at a time via PopTx; with
-// budget > 0 it drains runs via PopTxMany. The ring wraps several times, so
-// the run-stops-at-wrap behavior of PopTxMany is exercised.
+// drain order, draining runs of up to budget messages per PopTxMany read.
+// The ring wraps several times, so the run-stops-at-wrap behavior of
+// PopTxMany is exercised.
 func drainAll(t *testing.T, total, budget int) []TxMsg {
 	t.Helper()
 	r := newRig(t, false, 1<<16)
@@ -569,24 +569,13 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 				snicQ.Refresh(p)
 			}
 			drained := false
-			if budget > 0 {
-				for snicQ.Ready() {
-					k := snicQ.PopTxMany(p, budget, buf)
-					if k == 0 {
-						break
-					}
-					got = append(got, buf[:k]...)
-					drained = true
+			for snicQ.Ready() {
+				k := snicQ.PopTxMany(p, budget, buf)
+				if k == 0 {
+					break
 				}
-			} else {
-				for {
-					m, ok := snicQ.PopTx(p)
-					if !ok {
-						break
-					}
-					got = append(got, m)
-					drained = true
-				}
+				got = append(got, buf[:k]...)
+				drained = true
 			}
 			snicQ.CommitTx(p)
 			if !drained {
@@ -599,12 +588,13 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 	return got
 }
 
-// PopTxMany must produce exactly the message sequence PopTx produces —
-// payloads, error bytes, correlators and slots — across ring wraparounds.
-func TestPopTxManyMatchesPopTx(t *testing.T) {
+// A budget-k PopTxMany drain must produce exactly the message sequence a
+// budget-1 drain (one slot per read) produces — payloads, error bytes,
+// correlators and slots — across ring wraparounds.
+func TestPopTxManyBudgetOneMatchesBudgetK(t *testing.T) {
 	const total = 11
-	single := drainAll(t, total, 0)
-	for _, budget := range []int{1, 3, 8} {
+	single := drainAll(t, total, 1)
+	for _, budget := range []int{3, 8} {
 		batched := drainAll(t, total, budget)
 		if len(single) != total || len(batched) != total {
 			t.Fatalf("budget %d: drained %d single vs %d batched, want %d", budget, len(single), len(batched), total)
@@ -618,9 +608,9 @@ func TestPopTxManyMatchesPopTx(t *testing.T) {
 	}
 }
 
-// PrepareWrite + PostAndWait is the batched push path: the payload WQEs of a
-// whole dispatch quantum go out under shared doorbells, yet every message is
-// delivered intact and in order.
+// PrepareWriteT + PostAndWaitT is the batched push path: the payload WQEs of
+// a whole dispatch quantum go out under shared doorbells, yet every message
+// is delivered intact and in order.
 func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 	r := newRig(t, false, 1<<16)
 	cfg := stdCfg()
@@ -640,20 +630,29 @@ func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 			recvd = append(recvd, append([]byte(nil), m.Payload...))
 		}
 	})
-	r.s.Spawn("snic", func(p *sim.Proc) {
+	posted := false
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]rdma.WR, 0, n)
 		for i := 0; i < n; i++ {
-			wr, _, err := snicQ.PrepareWrite(p, []byte(fmt.Sprintf("batched-%d", i)), 0)
+			wr, _, err, inline := snicQ.PrepareWriteT(tk, []byte(fmt.Sprintf("batched-%d", i)), 0, func(rdma.WR, int, error) {
+				t.Error("PrepareWriteT refreshed the header of a ring with free slots")
+			})
+			if !inline {
+				return
+			}
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			wrs = append(wrs, wr)
 		}
-		snicQ.QP().PostAndWait(p, wrs, 4, 3)
+		snicQ.QP().PostAndWaitT(tk, wrs, 4, 3, func(rdma.CQE) { posted = true })
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
+	if !posted {
+		t.Fatal("PostAndWaitT never ran its continuation")
+	}
 	if len(recvd) != n {
 		t.Fatalf("accelerator received %d messages, want %d", len(recvd), n)
 	}
@@ -666,4 +665,72 @@ func TestPrepareWritePostAndWaitDelivers(t *testing.T) {
 	if pushed != n {
 		t.Fatalf("pushed = %d, want %d", pushed, n)
 	}
+}
+
+// PrepareWriteT on a full ring parks the task in one header refresh and then
+// reports ErrQueueFull through its continuation; the barrier and no-coalesce
+// ablations are refused inline.
+func TestPrepareWriteTFullRingAndAblations(t *testing.T) {
+	r := newRig(t, false, 1<<16)
+	cfg := Config{Kind: ServerQueue, Slots: 2, SlotSize: 128}
+	snicQ, err := New(r.region, 0, cfg, r.qp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotErr error
+	resumed := false
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		for i := 0; i < cfg.Slots; i++ {
+			if _, _, err, inline := snicQ.PrepareWriteT(tk, []byte("x"), 0, nil); !inline || err != nil {
+				t.Errorf("write %d into a ring with free slots: inline=%v err=%v", i, inline, err)
+			}
+		}
+		_, _, _, inline := snicQ.PrepareWriteT(tk, []byte("x"), 0, func(_ rdma.WR, _ int, err error) {
+			resumed, gotErr = true, err
+		})
+		if inline {
+			t.Error("PrepareWriteT on a full ring returned inline, want a header refresh")
+		}
+	})
+	r.s.RunUntil(sim.Time(time.Second))
+	r.s.Shutdown()
+	if !resumed || gotErr != ErrQueueFull {
+		t.Fatalf("full ring: resumed=%v err=%v, want ErrQueueFull", resumed, gotErr)
+	}
+	if _, _, full := snicQ.Stats(); full != 1 {
+		t.Errorf("full = %d, want 1", full)
+	}
+
+	for _, ab := range []Config{
+		{Kind: ServerQueue, Slots: 4, SlotSize: 128, Barrier: true},
+		{Kind: ServerQueue, Slots: 4, SlotSize: 128, NoCoalesce: true},
+	} {
+		r := newRig(t, false, 1<<16)
+		q, err := New(r.region, 0, ab, r.qp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.s.SpawnTask("snic", func(tk *sim.Task) {
+			if _, _, err, inline := q.PrepareWriteT(tk, []byte("x"), 0, nil); !inline || err == nil {
+				t.Errorf("barrier=%v no-coalesce=%v: inline=%v err=%v, want an inline refusal",
+					ab.Barrier, ab.NoCoalesce, inline, err)
+			}
+		})
+		r.s.RunUntil(sim.Time(time.Millisecond))
+		r.s.Shutdown()
+	}
+}
+
+// pollOne is the standalone-queue poll of the tests: refresh the header when
+// nothing is known ready, drain at most one TX message, and commit it.
+func pollOne(p *sim.Proc, q *Queue) (TxMsg, bool) {
+	if !q.Ready() {
+		q.Refresh(p)
+	}
+	var buf [1]TxMsg
+	if q.PopTxMany(p, 1, buf[:]) == 0 {
+		return TxMsg{}, false
+	}
+	q.CommitTx(p)
+	return buf[0], true
 }

@@ -74,7 +74,7 @@ type WR struct {
 	reply *sim.Chan[CQE]
 
 	// silent marks an unsignaled WQE: the transfer happens but no CQE is
-	// surfaced anywhere. PostAndWait sets it on non-checkpoint WRs so a
+	// surfaced anywhere. PostAndWaitT sets it on non-checkpoint WRs so a
 	// batch of n writes generates ceil(n/cqDrain) completions, matching
 	// how verbs applications suppress per-WQE signaling under doorbell
 	// batching.
@@ -391,85 +391,6 @@ func (qp *QP) Post(p *sim.Proc, wr WR) {
 	qp.sq.Put(p, wr)
 }
 
-// PostMany enqueues a run of work requests under a single doorbell
-// (multi-WQE posting): the CPU pays one issue cost for the whole group
-// instead of one per WQE, then the WRs enter the send queue in order.
-// Hardware-driven QPs skip the issue cost entirely, as with Post. The
-// engine-side pipeline cost and wire time remain per-WR — doorbell
-// coalescing amortizes only the CPU touch, as on real verbs.
-func (qp *QP) PostMany(p *sim.Proc, wrs []WR) {
-	if len(wrs) == 0 {
-		return
-	}
-	if !qp.hw {
-		p.Sleep(qp.engine.params.RDMAIssue)
-	}
-	for i := range wrs {
-		qp.posted++
-		qp.sq.Put(p, wrs[i])
-	}
-}
-
-// PostAndWait posts wrs in doorbell groups of at most doorbell WRs (one
-// issue cost per group) and blocks until the last completes. The completion
-// wait is checkpointed: a reply is requested on every cqDrain-th WR and on
-// the final one, and since RC QPs complete in posting order, observing a
-// checkpoint CQE implies every preceding WR is done — ceil(n/cqDrain)
-// wakeups instead of n. doorbell/cqDrain values below 1 mean 1, which
-// degenerates to per-message post-and-wait. Returns the final CQE.
-func (qp *QP) PostAndWait(p *sim.Proc, wrs []WR, doorbell, cqDrain int) CQE {
-	n := len(wrs)
-	if n == 0 {
-		return CQE{}
-	}
-	if doorbell < 1 {
-		doorbell = 1
-	}
-	if cqDrain < 1 {
-		cqDrain = 1
-	}
-	checkpoints := 0
-	reply := qp.getReply()
-	for i := range wrs {
-		if (i+1)%cqDrain == 0 || i == n-1 {
-			wrs[i].reply = reply
-			checkpoints++
-		} else {
-			wrs[i].silent = true
-		}
-	}
-	for off := 0; off < n; off += doorbell {
-		end := off + doorbell
-		if end > n {
-			end = n
-		}
-		qp.PostMany(p, wrs[off:end])
-	}
-	var last CQE
-	for i := 0; i < checkpoints; i++ {
-		last = reply.Get(p)
-	}
-	qp.putReply(reply)
-	return last
-}
-
-// DrainCQ moves up to budget pending completions into out without blocking
-// and returns the number drained: one wakeup absorbs a whole burst of CQEs
-// instead of polling once per completion. Completions appear in posting
-// order, as the RC completion model guarantees.
-func (qp *QP) DrainCQ(budget int, out []CQE) int {
-	n := 0
-	for n < budget && n < len(out) {
-		cqe, ok := qp.cq.TryGet()
-		if !ok {
-			break
-		}
-		out[n] = cqe
-		n++
-	}
-	return n
-}
-
 // CQ returns the completion queue. Callers typically Get in a loop or after
 // a batch of Posts.
 func (qp *QP) CQ() *sim.Chan[CQE] { return qp.cq }
@@ -523,10 +444,11 @@ func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
 }
 
 // ---------------------------------------------------------------------------
-// Task-form (continuation-passing) posting API. Each method performs the
-// exact same sequence of scheduler operations as its Proc counterpart, so a
-// caller ported from one substrate to the other produces byte-identical
-// virtual-time results.
+// Task-form (continuation-passing) posting API. Each method that has a Proc
+// counterpart performs the exact same sequence of scheduler operations as
+// it, so a caller ported from one substrate to the other produces
+// byte-identical virtual-time results. The batched posts (PostManyT,
+// PostAndWaitT) exist only in this form.
 
 // PostT is Post for run-to-completion tasks: k runs once the WR has entered
 // the send queue (after the CPU-side issue cost, unless hardware driven).
@@ -546,8 +468,12 @@ func (qp *QP) PostT(t *sim.Task, wr WR, k func()) {
 	})
 }
 
-// PostManyT is PostMany for tasks: one issue cost for the whole group, then
-// the WRs enter the send queue in order; k runs when all are enqueued.
+// PostManyT enqueues a run of work requests under a single doorbell
+// (multi-WQE posting): the CPU pays one issue cost for the whole group
+// instead of one per WQE, then the WRs enter the send queue in order; k runs
+// when all are enqueued. Hardware-driven QPs skip the issue cost entirely,
+// as with Post. The engine-side pipeline cost and wire time remain per-WR —
+// doorbell coalescing amortizes only the CPU touch, as on real verbs.
 func (qp *QP) PostManyT(t *sim.Task, wrs []WR, k func()) {
 	if len(wrs) == 0 {
 		k()
@@ -576,9 +502,13 @@ func (qp *QP) postAllT(t *sim.Task, wrs []WR, k func()) {
 	k()
 }
 
-// PostAndWaitT is PostAndWait for tasks: wrs post in doorbell groups with
-// checkpointed completions, and k runs with the final CQE once the last
-// checkpoint lands.
+// PostAndWaitT posts wrs in doorbell groups of at most doorbell WRs (one
+// issue cost per group) and k runs with the final CQE once the last
+// completes. The completion wait is checkpointed: a reply is requested on
+// every cqDrain-th WR and on the final one, and since RC QPs complete in
+// posting order, observing a checkpoint CQE implies every preceding WR is
+// done — ceil(n/cqDrain) wakeups instead of n. doorbell/cqDrain values below
+// 1 mean 1, which degenerates to per-message post-and-wait.
 func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(CQE)) {
 	n := len(wrs)
 	if n == 0 {

@@ -279,40 +279,38 @@ func TestReadBackMatchesWrite(t *testing.T) {
 	r.s.Shutdown()
 }
 
-// PostMany + DrainCQ: a burst posted under one doorbell completes in posting
-// order, and one DrainCQ wakeup absorbs the whole burst (budget permitting)
-// instead of one poll per CQE.
-func TestPostManyDrainCQOrdering(t *testing.T) {
+// PostManyT: a burst posted under one doorbell costs one issue charge and
+// completes in posting order on the RC CQ.
+func TestPostManyTOrdering(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	const n = 12
-	r.s.Spawn("snic", func(p *sim.Proc) {
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]WR, n)
 		for i := range wrs {
 			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(100 + i)}
 		}
-		issueStart := p.Now()
-		qp.PostMany(p, wrs)
-		if issue := p.Now().Sub(issueStart); issue > r.params.RDMAIssue {
-			t.Errorf("PostMany charged %v for %d WRs, want one issue cost (%v)", issue, n, r.params.RDMAIssue)
-		}
-		p.Sleep(time.Millisecond) // let every completion land
-		out := make([]CQE, n)
-		if got := qp.DrainCQ(5, out); got != 5 {
-			t.Errorf("DrainCQ budget 5 drained %d", got)
-		}
-		if got := qp.DrainCQ(n, out[5:]); got != n-5 {
-			t.Errorf("second DrainCQ drained %d, want %d", got, n-5)
-		}
-		for i := range out {
-			if out[i].ID != uint64(100+i) {
-				t.Fatalf("completion %d has ID %d, want %d (posting order)", i, out[i].ID, 100+i)
+		issueStart := tk.Now()
+		qp.PostManyT(tk, wrs, func() {
+			if issue := tk.Now().Sub(issueStart); issue > r.params.RDMAIssue {
+				t.Errorf("PostManyT charged %v for %d WRs, want one issue cost (%v)", issue, n, r.params.RDMAIssue)
 			}
-		}
-		if got := qp.DrainCQ(1, out[:1]); got != 0 {
-			t.Errorf("CQ not empty after draining all %d completions", n)
-		}
+			tk.Sleep(time.Millisecond, func() { // let every completion land
+				for i := 0; i < n; i++ {
+					cqe, ok := qp.CQ().TryGet()
+					if !ok {
+						t.Fatalf("only %d of %d completions surfaced", i, n)
+					}
+					if cqe.ID != uint64(100+i) {
+						t.Fatalf("completion %d has ID %d, want %d (posting order)", i, cqe.ID, 100+i)
+					}
+				}
+				if left := qp.CQ().Len(); left != 0 {
+					t.Errorf("CQ holds %d completions after draining all %d", left, n)
+				}
+			})
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -321,7 +319,7 @@ func TestPostManyDrainCQOrdering(t *testing.T) {
 	}
 }
 
-// PostAndWait suppresses signaling on non-checkpoint WQEs: a batch of n
+// PostAndWaitT suppresses signaling on non-checkpoint WQEs: a batch of n
 // writes surfaces only its checkpoint completions to the poster and leaks
 // nothing into the shared CQ.
 func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
@@ -329,28 +327,33 @@ func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	const n = 10
-	r.s.Spawn("snic", func(p *sim.Proc) {
+	finished := false
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]WR, n)
 		for i := range wrs {
 			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)}
 		}
-		last := qp.PostAndWait(p, wrs, 3, 4)
-		if last.ID != n-1 {
-			t.Errorf("PostAndWait returned CQE ID %d, want %d (the batch's last WR)", last.ID, n-1)
-		}
-		// All data must be visible once the final checkpoint completes.
-		for i := 0; i < n; i++ {
-			if got := region.ReadLocal(i*8, 1); got[0] != byte(i) {
-				t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
+		qp.PostAndWaitT(tk, wrs, 3, 4, func(last CQE) {
+			finished = true
+			if last.ID != n-1 {
+				t.Errorf("PostAndWaitT returned CQE ID %d, want %d (the batch's last WR)", last.ID, n-1)
 			}
-		}
-		var scratch [1]CQE
-		if leaked := qp.DrainCQ(1, scratch[:]); leaked != 0 {
-			t.Errorf("unsignaled WQE leaked a CQE into the shared CQ: %+v", scratch[0])
-		}
+			// All data must be visible once the final checkpoint completes.
+			for i := 0; i < n; i++ {
+				if got := region.ReadLocal(i*8, 1); got[0] != byte(i) {
+					t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
+				}
+			}
+			if cqe, leaked := qp.CQ().TryGet(); leaked {
+				t.Errorf("unsignaled WQE leaked a CQE into the shared CQ: %+v", cqe)
+			}
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
+	if !finished {
+		t.Fatal("PostAndWaitT never ran its continuation")
+	}
 	if posted, completed := qp.Stats(); posted != n || completed != n {
 		t.Fatalf("posted=%d completed=%d, want %d each", posted, completed, n)
 	}

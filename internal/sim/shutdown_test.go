@@ -51,6 +51,31 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesUnstartedProcs: a proc spawned but never stepped (no
+// Run before Shutdown) must not leave its goroutine behind. Shutdown's
+// unwind step is the proc's first; it must exit there without running fn,
+// which would otherwise block at its first yield and never be resumed.
+func TestShutdownReleasesUnstartedProcs(t *testing.T) {
+	baseline := countGoroutinesSettled()
+
+	s := New(Config{Seed: 1})
+	ran := false
+	s.Spawn("never-stepped", func(p *Proc) {
+		ran = true
+		p.Sleep(time.Hour)
+	})
+	s.Shutdown()
+	if ran {
+		t.Error("Shutdown ran the body of a proc that was never stepped")
+	}
+	if live := s.Live(); live != 0 {
+		t.Fatalf("Live() = %d after Shutdown, want 0", live)
+	}
+	if after := countGoroutinesSettled(); after > baseline {
+		t.Fatalf("goroutines leaked across Shutdown: baseline %d, after %d", baseline, after)
+	}
+}
+
 // TestShutdownIsDeterministic: two identical simulations must unwind their
 // processes in the same order (spawn order), observable through kill-time
 // cleanup side effects.

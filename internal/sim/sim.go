@@ -405,6 +405,12 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			s.yield <- struct{}{}
 		}()
+		// A proc killed before its first step (Shutdown unwinding a proc
+		// that never ran) exits without running fn: fn would block at its
+		// first yield, and no one would resume it again.
+		if p.killed {
+			panic(killedErr{p.name})
+		}
 		fn(p)
 	}()
 	s.atStep(s.now, p)
