@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"lynx/internal/accel"
+	"lynx/internal/check"
 	"lynx/internal/core"
+	"lynx/internal/fault"
 	"lynx/internal/metrics"
+	"lynx/internal/model"
 	"lynx/internal/mqueue"
 	"lynx/internal/netstack"
 	"lynx/internal/sim"
@@ -192,6 +195,9 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := rt.AddPipeline(core.UDP, 7000, nil, 3, h, h); err == nil {
 		t.Fatal("over-claiming queues must fail")
 	}
+	if _, err := rt.AddPipeline(core.UDP, 7000, nil, 0, h, h); err == nil {
+		t.Fatal("a pipeline with no mqueues must be rejected")
+	}
 	if _, err := rt.AddPipeline(core.UDP, 7000, nil, 2, h, h); err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +206,182 @@ func TestPipelineValidation(t *testing.T) {
 		t.Fatal("AddPipeline after Start must fail")
 	}
 	b.tb.Sim.Shutdown()
+}
+
+// countingStage launches one threadblock per queue of a pipeline stage that
+// echoes each message and counts it in hits[queue].
+func countingStage(t *testing.T, b *bed, gpu *accel.GPU, h *core.AccelHandle, hits []int) {
+	t.Helper()
+	qs := h.AccelQueues()
+	if err := gpu.LaunchPersistent(b.tb.Sim, len(hits), func(tb *accel.TB) {
+		i := tb.Index()
+		for {
+			m := qs[i].Recv(tb.Proc())
+			hits[i]++
+			if qs[i].Send(tb.Proc(), uint16(m.Slot), m.Payload) != nil {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A StickyHash pipeline steers each request by its origin at every stage: a
+// relay picks the next stage's queue by the client that sent the request, so
+// each client stays on the same queue index all the way through.
+func TestPipelineStickyHashRelaysByOrigin(t *testing.T) {
+	b := newBed(t, 25)
+	gpu2 := b.server.AddGPU("gpu1", accel.K40m, false, "server1")
+	client2 := b.tb.AddClient("client2")
+	rt := core.NewRuntime(b.bf.Platform(7))
+	cfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+	h1, _ := rt.Register(b.gpu, cfg, 2)
+	h2, _ := rt.Register(gpu2, cfg, 2)
+	pl, err := rt.AddPipeline(core.UDP, 7000, core.StickyHash{}, 2, h1, h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, hits1 := make([]int, 2), make([]int, 2)
+	countingStage(t, b, b.gpu, h1, hits0)
+	countingStage(t, b, gpu2, h2, hits1)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const perClient = 50
+	done := 0
+	for c, host := range []*netstack.Host{b.client, b.client, client2, client2} {
+		sock := host.MustUDPBind(uint16(9000 + c))
+		b.tb.Sim.Spawn("client", func(p *sim.Proc) {
+			for i := 0; i < perClient; i++ {
+				sock.SendTo(pl.Addr(), make([]byte, 32))
+				sock.Recv(p)
+			}
+			done++
+		})
+	}
+	b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return done == 4 })
+	b.tb.Sim.Shutdown()
+	if done != 4 {
+		t.Fatalf("%d/4 clients finished", done)
+	}
+	if hits0[0] == 0 || hits0[1] == 0 {
+		t.Fatalf("stage 0 per-queue counts %v: StickyHash must spread 4 clients over both queues", hits0)
+	}
+	if hits0[0] != hits1[0] || hits0[1] != hits1[1] {
+		t.Fatalf("per-queue counts stage 0 %v, stage 1 %v: relays must follow the request's origin", hits0, hits1)
+	}
+}
+
+// A stalled queue in a later stage fails over like a service queue: the
+// MQ-manager watchdog marks it failed and relays steer around it, so the
+// stage's ring never overflows.
+func TestPipelineStageFailover(t *testing.T) {
+	b := newFaultBed(t, 26, fault.Config{
+		Stalls: []fault.Stall{{Accel: "gpu1", Queue: 0, At: 5 * time.Millisecond, For: time.Second}},
+	})
+	gpu2 := b.server.AddGPU("gpu1", accel.K40m, false, "server1")
+	rt := core.NewRuntime(b.bf.Platform(7))
+	cfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+	h1, _ := rt.Register(b.gpu, cfg, 2)
+	h2, _ := rt.Register(gpu2, cfg, 2)
+	pl, err := rt.AddPipeline(core.UDP, 7000, nil, 2, h1, h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startStageTBs(t, b, b.gpu, h1, 0, 2, 'A', 10*time.Microsecond)
+	startStageTBs(t, b, gpu2, h2, 0, 2, 'B', 10*time.Microsecond)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cfgW := workloadCfg(pl.Addr(), 4, 60*time.Millisecond)
+	cfgW.Warmup, cfgW.Timeout, cfgW.Retries = time.Millisecond, 2*time.Millisecond, 3
+	res := workloadRun(b, workloadNew(b, cfgW))
+	st := rt.Stats()
+	if b.tb.Faults.Stats().StallHits == 0 {
+		t.Fatal("the stall window never hit the stage-1 accelerator")
+	}
+	if st.Failovers < 1 {
+		t.Fatalf("watchdog never failed the stalled stage-1 queue over: %s", st)
+	}
+	if st.DroppedOverflow != 0 {
+		t.Fatalf("stage-1 ring overflowed %d times after failover: %s (workload: %s)", st.DroppedOverflow, st, res)
+	}
+}
+
+// Under the tuned batching configuration a pipeline takes the batched
+// service paths (batched UDP dispatch, batched final-stage forwarding; TCP
+// keeps its per-connection receive loop) and relays by origin over both
+// transports, with request conservation and ring invariants armed.
+func TestPipelineBatchedInvariants(t *testing.T) {
+	for _, proto := range []core.Proto{core.UDP, core.TCP} {
+		t.Run(proto.String(), func(t *testing.T) {
+			b := newBed(t, 27)
+			ck := check.New()
+			b.tb.EnableInvariants(ck)
+			b.tb.Params.Batch = model.DefaultBatchConfig()
+			gpu2 := b.server.AddGPU("gpu1", accel.K40m, false, "server1")
+			rt := core.NewRuntime(b.bf.Platform(7))
+			cfg := mqueue.Config{Kind: mqueue.ServerQueue, Slots: 16, SlotSize: 128}
+			h1, _ := rt.Register(b.gpu, cfg, 2)
+			h2, _ := rt.Register(gpu2, cfg, 2)
+			pl, err := rt.AddPipeline(proto, 7000, core.StickyHash{}, 2, h1, h2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startStageTBs(t, b, b.gpu, h1, 0, 2, 'A', 2*time.Microsecond)
+			startStageTBs(t, b, gpu2, h2, 0, 2, 'B', 2*time.Microsecond)
+			if err := rt.Start(); err != nil {
+				t.Fatal(err)
+			}
+			const clients, perClient = 8, 40
+			done, bad := 0, 0
+			for c := 0; c < clients; c++ {
+				c := c
+				b.tb.Sim.Spawn("client", func(p *sim.Proc) {
+					var call func(req []byte) []byte
+					if proto == core.TCP {
+						conn, err := b.client.TCPDial(p, pl.Addr())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						call = func(req []byte) []byte {
+							conn.Send(p, req)
+							msg, _ := conn.Recv(p)
+							return msg
+						}
+					} else {
+						sock := b.client.MustUDPBind(uint16(9000 + c))
+						call = func(req []byte) []byte {
+							sock.SendTo(pl.Addr(), req)
+							return sock.Recv(p).Payload
+						}
+					}
+					for i := 0; i < perClient; i++ {
+						req := fmt.Sprintf("c%d-%02d", c, i)
+						if string(call([]byte(req))) != req+"AB" {
+							bad++
+						}
+					}
+					done++
+				})
+			}
+			b.tb.Sim.RunUntilCond(sim.Time(time.Second), time.Millisecond, func() bool { return done == clients })
+			b.tb.Sim.Shutdown()
+			if done != clients || bad != 0 {
+				t.Fatalf("%d/%d clients finished, %d wrong replies", done, clients, bad)
+			}
+			const n = clients * perClient
+			st := rt.Stats()
+			if st.Received != n || st.Responded != n || pl.Relayed() != n {
+				t.Fatalf("received %d responded %d relayed %d, want %d each", st.Received, st.Responded, pl.Relayed(), n)
+			}
+			if rep := ck.Snapshot(); !rep.OK() {
+				t.Fatalf("%s", rep)
+			}
+		})
+	}
 }
 
 // test helpers shared by policy tests.

@@ -196,6 +196,7 @@ func (r *Replicator) AddPeer(name string, acc accel.Accelerator, qcfg mqueue.Con
 		r: r, idx: len(r.peers), name: name, h: h, q: h.group.Queue(0),
 		ackLat: metrics.NewHistogram(), gatingMargin: metrics.NewHistogram(),
 	}
+	h.sinks[0] = sink{rp: rp}
 	r.peers = append(r.peers, rp)
 	r.liveMask |= 1 << uint(rp.idx)
 	return h, nil

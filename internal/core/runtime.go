@@ -142,7 +142,6 @@ type Runtime struct {
 	handles     []*AccelHandle
 	services    []*Service
 	clients     []*ClientBinding
-	pipelines   []*Pipeline
 	replicators []*Replicator
 
 	started bool
@@ -161,7 +160,7 @@ type Runtime struct {
 	execFrames []*execFrame
 
 	// inTransit counts requests popped from a reply FIFO but not yet
-	// answered (or relayed into the next pipeline stage): a shutdown can
+	// answered (or relayed into the next stage): a shutdown can
 	// kill the forwarding process inside that window, leaving the request
 	// in neither the pending FIFOs nor the Responded counter. The
 	// conservation finisher counts them as in-flight.
@@ -208,22 +207,15 @@ func NewRuntime(plat Platform) *Runtime {
 	if ck := plat.Check; ck.Enabled() {
 		// Request conservation at end of run: every message accepted into an
 		// mqueue (Received) is either answered (Responded), still waiting in a
-		// reply FIFO (in flight at shutdown), or — for pipelines — shed at a
-		// later stage (recorded in the drop counters). Responses can never
-		// outnumber their requests.
+		// reply FIFO of any stage (in flight at shutdown), or shed (recorded
+		// in the drop counters). Responses can never outnumber their
+		// requests.
 		ck.AddFinisher("core.request-conservation", func(fail func(string, ...any)) {
 			var inflight uint64
 			for _, svc := range rt.services {
-				for _, bq := range svc.queues {
-					for _, fifo := range bq.pending {
-						inflight += uint64(len(fifo))
-					}
-				}
-			}
-			for _, pl := range rt.pipelines {
-				for _, stage := range pl.stages {
-					for _, pq := range stage {
-						for _, fifo := range pq.pending {
+				for _, stage := range svc.stages {
+					for _, bq := range stage {
+						for _, fifo := range bq.pending {
 							inflight += uint64(len(fifo))
 						}
 					}
@@ -295,6 +287,20 @@ type AccelHandle struct {
 	group  *mqueue.Group
 	accQs  []*mqueue.AccelQueue
 	nInUse int
+	// sinks[i] is where the MQ manager routes queue i's TX messages, filled
+	// in when a service, client binding or replication peer claims it.
+	sinks []sink
+}
+
+// sink is the MQ manager's destination for one queue's TX messages: a
+// service stage (svc and bq), a client binding (cb and bq), or a replication
+// peer's ingest ring (rp). The zero sink is an unclaimed queue: the manager
+// drains and drops whatever it sends.
+type sink struct {
+	svc *Service
+	cb  *ClientBinding
+	bq  *boundQueue
+	rp  *replPeer
 }
 
 // Register allocates n mqueues in the accelerator's memory, establishes the
@@ -339,7 +345,7 @@ func (rt *Runtime) register(acc accel.Accelerator, cfg mqueue.Config, n int, reg
 	if err != nil {
 		return nil, err
 	}
-	h := &AccelHandle{acc: acc, cfg: cfg, group: group, accQs: accQs}
+	h := &AccelHandle{acc: acc, cfg: cfg, group: group, accQs: accQs, sinks: make([]sink, n)}
 	rt.handles = append(rt.handles, h)
 	return h, nil
 }
@@ -351,26 +357,24 @@ func (h *AccelHandle) Accelerator() accel.Accelerator { return h.acc }
 // the accelerator's request-processing code (persistent kernel TBs etc.).
 func (h *AccelHandle) AccelQueues() []*mqueue.AccelQueue { return h.accQs }
 
-// claim reserves count queues of the handle for a service or client binding.
-func (h *AccelHandle) claim(count int) ([]*mqueue.Queue, []int, error) {
+// claim reserves count queues of the handle for a service or client binding
+// and returns the index of the first; the queues are base..base+count-1.
+func (h *AccelHandle) claim(count int) (int, error) {
 	if h.nInUse+count > h.group.Len() {
-		return nil, nil, fmt.Errorf("core: accelerator %s has %d free mqueues, %d requested",
+		return 0, fmt.Errorf("core: accelerator %s has %d free mqueues, %d requested",
 			h.acc.Name(), h.group.Len()-h.nInUse, count)
 	}
 	base := h.nInUse
-	var qs []*mqueue.Queue
-	var idx []int
-	for i := 0; i < count; i++ {
-		qs = append(qs, h.group.Queue(base+i))
-		idx = append(idx, base+i)
-	}
 	h.nInUse += count
-	return qs, idx, nil
+	return base, nil
 }
 
 // unclaim rolls back the most recent claim of count queues (used when a
-// later stage/handle of the same registration fails).
-func (h *AccelHandle) unclaim(count int) { h.nInUse -= count }
+// later stage/handle of the same registration fails), unrouting them.
+func (h *AccelHandle) unclaim(count int) {
+	h.nInUse -= count
+	clear(h.sinks[h.nInUse : h.nInUse+count])
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch policies (§4.2: "according to the dispatching policy, e.g. load
@@ -475,10 +479,11 @@ type replyTo struct {
 	conn    *netstack.TCPConn
 }
 
-// boundQueue is one server mqueue attached to a service.
+// boundQueue is one server mqueue attached to a service stage.
 type boundQueue struct {
-	q *mqueue.Queue
-	h *AccelHandle
+	q     *mqueue.Queue
+	h     *AccelHandle
+	stage int
 	// pending maps RX slot -> FIFO of outstanding reply destinations.
 	pending [][]replyTo
 	// failed marks the queue as stalled per the MQ-manager watchdog;
@@ -486,16 +491,23 @@ type boundQueue struct {
 	failed bool
 }
 
-// Service is one accelerated network service frontend.
+// Service is one accelerated network service frontend. A plain service has
+// one stage; a pipeline (AddPipeline) chains several, each stage's TX output
+// relayed by the SNIC into the next stage's RX rings and the final stage's
+// output returned to the client.
 type Service struct {
 	rt     *Runtime
 	proto  Proto
 	port   uint16
 	policy Policy
-	queues []*boundQueue
+	// stages[i] holds the parallel queues of stage i; stages[0] is the
+	// dispatch set client requests enter.
+	stages [][]*boundQueue
 
 	udpSock *netstack.UDPSocket
 	tcpList *netstack.TCPListener
+
+	relayed uint64 // stage-to-stage messages moved by the SNIC
 
 	// repl, when non-nil, replicates the service's writes to peer
 	// accelerators before their responses are released (see replicate.go).
@@ -507,6 +519,32 @@ type Service struct {
 // AddService exposes `count` mqueues of each given accelerator handle as one
 // network service on port. Queues from all handles form the dispatch set.
 func (rt *Runtime) AddService(proto Proto, port uint16, policy Policy, count int, handles ...*AccelHandle) (*Service, error) {
+	return rt.addService(proto, port, policy, count, [][]*AccelHandle{handles})
+}
+
+// AddPipeline exposes a multi-accelerator pipeline as a network service on
+// port: the paper's "composition of accelerators" (§1). Each stage claims
+// `count` parallel mqueues from its handle; the dispatch policy picks among
+// the parallel queues independently at every stage, by the request's origin.
+// Requests enter stage 0; each stage's TX output becomes the next stage's RX
+// input, relayed by the SNIC over the same RDMA machinery with no host CPU
+// and no network stack in between; the final stage's output returns to the
+// client that sent the request.
+func (rt *Runtime) AddPipeline(proto Proto, port uint16, policy Policy, count int, stages ...*AccelHandle) (*Service, error) {
+	if len(stages) < 2 {
+		return nil, fmt.Errorf("core: a pipeline needs at least two stages (use AddService for one)")
+	}
+	hs := make([][]*AccelHandle, len(stages))
+	for i, h := range stages {
+		hs[i] = []*AccelHandle{h}
+	}
+	return rt.addService(proto, port, policy, count, hs)
+}
+
+// addService claims `count` mqueues of every handle of every stage, routing
+// their TX output to the new service, and binds the port. A failure anywhere
+// rolls every claim back.
+func (rt *Runtime) addService(proto Proto, port uint16, policy Policy, count int, stages [][]*AccelHandle) (*Service, error) {
 	if rt.started {
 		return nil, fmt.Errorf("core: cannot add services after Start")
 	}
@@ -520,21 +558,27 @@ func (rt *Runtime) AddService(proto Proto, port uint16, policy Policy, count int
 			h.unclaim(count)
 		}
 	}
-	for _, h := range handles {
-		qs, _, err := h.claim(count)
-		if err != nil {
+	for si, handles := range stages {
+		var stage []*boundQueue
+		for _, h := range handles {
+			base, err := h.claim(count)
+			if err != nil {
+				rollback()
+				return nil, err
+			}
+			claimed = append(claimed, h)
+			for i := base; i < base+count; i++ {
+				q := h.group.Queue(i)
+				bq := &boundQueue{q: q, h: h, stage: si, pending: make([][]replyTo, q.Config().Slots)}
+				h.sinks[i] = sink{svc: svc, bq: bq}
+				stage = append(stage, bq)
+			}
+		}
+		if len(stage) == 0 {
 			rollback()
-			return nil, err
+			return nil, fmt.Errorf("core: service on port %d has no mqueues in stage %d", port, si)
 		}
-		claimed = append(claimed, h)
-		for _, q := range qs {
-			svc.queues = append(svc.queues, &boundQueue{
-				q: q, h: h, pending: make([][]replyTo, q.Config().Slots),
-			})
-		}
-	}
-	if len(svc.queues) == 0 {
-		return nil, fmt.Errorf("core: service on port %d has no mqueues", port)
+		svc.stages = append(svc.stages, stage)
 	}
 	var err error
 	switch proto {
@@ -557,16 +601,23 @@ func (s *Service) Port() uint16 { return s.port }
 // Addr returns the service's network address.
 func (s *Service) Addr() netstack.Addr { return s.rt.plat.NetHost.Addr(s.port) }
 
-// pick applies the dispatch policy for a message from the client. Queues the
-// watchdog marked failed are skipped (graceful degradation): the policy's
-// pick rotates forward to the next healthy queue. When every queue is failed
-// the original pick is kept — shedding everything on a (possibly false)
-// watchdog verdict would be worse than trying the ring.
-func (s *Service) pick(from netstack.Addr) int {
-	qi := s.policy.Pick(from, len(s.queues))
-	if s.queues[qi].failed {
-		for off := 1; off < len(s.queues); off++ {
-			if alt := (qi + off) % len(s.queues); !s.queues[alt].failed {
+// Stages reports the number of stages (1 for a plain service).
+func (s *Service) Stages() int { return len(s.stages) }
+
+// Relayed reports stage-to-stage messages moved by the SNIC.
+func (s *Service) Relayed() uint64 { return s.relayed }
+
+// pick applies the dispatch policy among one stage's queues for a message
+// from the client. Queues the watchdog marked failed are skipped (graceful
+// degradation): the policy's pick rotates forward to the next healthy queue.
+// When every queue is failed the original pick is kept — shedding everything
+// on a (possibly false) watchdog verdict would be worse than trying the ring.
+func (s *Service) pick(from netstack.Addr, stage int) int {
+	qs := s.stages[stage]
+	qi := s.policy.Pick(from, len(qs))
+	if qs[qi].failed {
+		for off := 1; off < len(qs); off++ {
+			if alt := (qi + off) % len(qs); !qs[alt].failed {
 				return alt
 			}
 		}
@@ -590,8 +641,8 @@ func (s *Service) dispatch(p *sim.Proc, payload []byte, to replyTo, from netstac
 	rt := s.rt
 	rt.plat.Tracer.Emit(p.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
 	qw := rt.exec(p, rt.plat.Params.DispatchCost)
-	qi := s.pick(from)
-	bq := s.queues[qi]
+	qi := s.pick(from, 0)
+	bq := s.stages[0][qi]
 	id := trace.SpanID(payload)
 	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
 	rt.plat.Spans.Stamp(id, trace.StageDispatch, p.Now())
@@ -661,14 +712,15 @@ func (rt *Runtime) AddClientQueue(h *AccelHandle, proto Proto, dst netstack.Addr
 	if rt.started {
 		return nil, fmt.Errorf("core: cannot add client queues after Start")
 	}
-	qs, idx, err := h.claim(1)
+	qi, err := h.claim(1)
 	if err != nil {
 		return nil, err
 	}
 	cb := &ClientBinding{
-		rt: rt, proto: proto, dst: dst, qi: idx[0],
-		bq: &boundQueue{q: qs[0], h: h},
+		rt: rt, proto: proto, dst: dst, qi: qi,
+		bq: &boundQueue{q: h.group.Queue(qi), h: h},
 	}
+	h.sinks[qi] = sink{cb: cb, bq: cb.bq}
 	rt.clients = append(rt.clients, cb)
 	return cb, nil
 }
@@ -812,39 +864,6 @@ func (rt *Runtime) Start() error {
 		}
 	}
 
-	// Pipeline frontends: same receive paths as services, entering stage 0.
-	for _, pl := range rt.pipelines {
-		pl := pl
-		switch pl.proto {
-		case UDP:
-			for w := 0; w < rt.plat.Workers; w++ {
-				s.Spawn(fmt.Sprintf("lynx/pipe-rx:%d/%d", pl.port, w), func(p *sim.Proc) {
-					for {
-						dg := pl.udpSock.Recv(p)
-						rt.exec(p, rt.udpCost())
-						pl.enter(p, dg.Payload, replyTo{udpFrom: dg.From})
-					}
-				})
-			}
-		case TCP:
-			s.Spawn(fmt.Sprintf("lynx/pipe-accept:%d", pl.port), func(p *sim.Proc) {
-				for {
-					conn := pl.tcpList.Accept(p)
-					s.Spawn(fmt.Sprintf("lynx/pipe-tcp-rx:%d", pl.port), func(p *sim.Proc) {
-						for {
-							msg, err := conn.Recv(p)
-							if err != nil {
-								return
-							}
-							rt.exec(p, rt.tcpCost())
-							pl.enter(p, msg, replyTo{conn: conn})
-						}
-					})
-				}
-			})
-		}
-	}
-
 	// Client bindings: establish static connections, then pump responses
 	// inbound. UDP bindings also run a retry process enforcing the
 	// per-request timeout with bounded retransmission + exponential backoff.
@@ -940,60 +959,9 @@ func (rt *Runtime) Start() error {
 	// Remote MQ manager + message forwarder: one sweep process per
 	// accelerator (its QP context), draining TX rings with batched header
 	// polling.
-	type sink struct {
-		svc     *Service
-		cb      *ClientBinding
-		bq      *boundQueue
-		pl      *Pipeline
-		plStage int
-		pq      *pipeQueue
-		rp      *replPeer
-	}
 	for _, h := range rt.handles {
 		h := h
-		sinks := make([]sink, h.group.Len())
-		for _, svc := range rt.services {
-			for _, bq := range svc.queues {
-				if bq.h == h {
-					for i := 0; i < h.group.Len(); i++ {
-						if h.group.Queue(i) == bq.q {
-							sinks[i] = sink{svc: svc, bq: bq}
-						}
-					}
-				}
-			}
-		}
-		for _, cb := range rt.clients {
-			if cb.bq.h == h {
-				sinks[cb.qi] = sink{cb: cb, bq: cb.bq}
-			}
-		}
-		for _, pl := range rt.pipelines {
-			for si, stage := range pl.stages {
-				for _, pq := range stage {
-					if pq.h != h {
-						continue
-					}
-					for i := 0; i < h.group.Len(); i++ {
-						if h.group.Queue(i) == pq.q {
-							sinks[i] = sink{pl: pl, plStage: si, pq: pq}
-						}
-					}
-				}
-			}
-		}
-		for _, r := range rt.replicators {
-			for _, rp := range r.peers {
-				if rp.h != h {
-					continue
-				}
-				for i := 0; i < h.group.Len(); i++ {
-					if h.group.Queue(i) == rp.q {
-						sinks[i] = sink{rp: rp}
-					}
-				}
-			}
-		}
+		sinks := h.sinks
 		// The Remote MQ Manager's sweep work is shared by the worker
 		// cores: each context owns a partition of the accelerator's
 		// queues (the paper's workers split mqueues round-robin, §6.1).
@@ -1077,6 +1045,8 @@ func (rt *Runtime) Start() error {
 						drained = true
 						sk := sinks[i]
 						switch {
+						case sk.svc != nil && sk.bq.stage+1 < len(sk.svc.stages):
+							sk.svc.relayT(t, sk.bq, txBuf[:k], redrain[i])
 						case sk.svc != nil:
 							sk.svc.forwardResponsesT(t, sk.bq, txBuf[:k], fwdTo, redrain[i])
 						case sk.cb != nil:
@@ -1089,16 +1059,6 @@ func (rt *Runtime) Start() error {
 								sk.cb.forwardOutT(t, txBuf[j], func() { fw(j + 1) })
 							}
 							fw(0)
-						case sk.pl != nil:
-							var adv func(j int)
-							adv = func(j int) {
-								if j >= k {
-									drainQ(i)
-									return
-								}
-								sk.pl.advanceT(t, sk.plStage, sk.pq, txBuf[j], func() { adv(j + 1) })
-							}
-							adv(0)
 						case sk.rp != nil:
 							for j := 0; j < k; j++ {
 								sk.rp.r.onAck(sk.rp, txBuf[j].Payload)

@@ -1,19 +1,19 @@
 // Task-substrate forms of the runtime's hot-path stages. The always-on
 // stages Start() hosts on Tasks are the UDP receive workers (batched and
-// unbatched) and the Remote MQ Manager sweep with its forwarders — the
-// processes that wake for every single message. Cold and connection-scoped
-// paths (TCP accept/rx, pipeline frontends, client bindings, retry timers,
-// the replication pump) stay on coroutine Procs.
+// unbatched) and the Remote MQ Manager sweep with its forwarders and
+// stage-to-stage relay — the processes that wake for every single message.
+// Cold and connection-scoped paths (TCP accept/rx, client bindings, retry
+// timers, the replication pump) stay on coroutine Procs.
 //
 // Where a stage is still needed on both substrates (exec, execParallel,
-// Service.dispatch, Pipeline.pushStage), the Task form here is a
-// continuation-passing port of its coroutine counterpart in runtime.go /
-// pipeline.go and must stay operation-for-operation identical to it: same
-// order of exec charges, span stamps, tracer emissions, counter updates, and
-// blocking-primitive calls, so that a run is byte-identical whichever
-// substrate hosts the stage (see the seq-parity contract in internal/sim).
-// The batched dispatcher, the forwarders and the pipeline relay exist only
-// here: nothing hosts them on a coroutine, so they have no Proc twin.
+// Service.dispatch), the Task form here is a continuation-passing port of its
+// coroutine counterpart in runtime.go and must stay operation-for-operation
+// identical to it: same order of exec charges, span stamps, tracer
+// emissions, counter updates, and blocking-primitive calls, so that a run is
+// byte-identical whichever substrate hosts the stage (see the seq-parity
+// contract in internal/sim). The batched dispatcher, the forwarders and the
+// relay exist only here: nothing hosts them on a coroutine, so they have no
+// Proc twin.
 package core
 
 import (
@@ -121,8 +121,8 @@ func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netsta
 	rt := s.rt
 	rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
 	rt.execT(t, rt.plat.Params.DispatchCost, func(qw time.Duration) {
-		qi := s.pick(from)
-		bq := s.queues[qi]
+		qi := s.pick(from, 0)
+		bq := s.stages[0][qi]
 		id := trace.SpanID(payload)
 		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
 		rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
@@ -220,8 +220,8 @@ func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func())
 		prep = func(i int) {
 			for ; i < n; i++ {
 				payload := dgs[i].Payload
-				qi := s.pick(dgs[i].From)
-				bq := s.queues[qi]
+				qi := s.pick(dgs[i].From, 0)
+				bq := s.stages[0][qi]
 				id := trace.SpanID(payload)
 				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
 				rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
@@ -347,71 +347,52 @@ func (cb *ClientBinding) forwardOutT(t *sim.Task, msg mqueue.TxMsg, k func()) {
 	})
 }
 
-// pushStageT is Pipeline.pushStage for tasks.
-func (pl *Pipeline) pushStageT(t *sim.Task, stage int, payload []byte, to replyTo, k func()) {
-	rt := pl.rt
-	queues := pl.stages[stage]
-	pq := queues[pl.policy.Pick(netstack.Addr{}, len(queues))]
-	pq.q.PushT(t, payload, 0, func(slot int, err error) {
-		if err != nil {
-			rt.drop(t.Now(), DropOverflow, uint64(stage))
+// relayT moves the run of TX messages drained from one queue of a non-final
+// stage into the next stage, one message at a time: each pops its reply FIFO,
+// is checked for an orphan, is charged one dispatch (no network stack), and
+// is pushed into the next stage's queue picked by the request's origin. The
+// reply destination travels with it, so the final stage's output returns to
+// the client through forwardResponsesT.
+func (s *Service) relayT(t *sim.Task, bq *boundQueue, msgs []mqueue.TxMsg, k func()) {
+	rt := s.rt
+	next := bq.stage + 1
+	var relay func(j int)
+	relay = func(j int) {
+		if j >= len(msgs) {
 			k()
 			return
 		}
-		pq.pending[slot] = append(pq.pending[slot], to)
-		if stage == 0 {
-			rt.stats.Received++
+		msg := msgs[j]
+		fifo := bq.pending[msg.Corr]
+		if len(fifo) == 0 {
+			rt.plat.Check.Failf("core.orphan-response",
+				"service port %d stage %d: TX message for slot %d has no pending request",
+				s.port, bq.stage, msg.Corr)
+			relay(j + 1)
+			return
 		}
-		k()
-	})
-}
-
-// advanceT handles a TX message from pipeline stage i: relay it to stage
-// i+1 (one dispatch cost, no network stack) or answer the client.
-func (pl *Pipeline) advanceT(t *sim.Task, stage int, pq *pipeQueue, msg mqueue.TxMsg, k func()) {
-	rt := pl.rt
-	fifo := pq.pending[msg.Corr]
-	if len(fifo) == 0 {
-		rt.plat.Check.Failf("core.orphan-response",
-			"pipeline port %d stage %d: TX message for slot %d has no pending request",
-			pl.port, stage, msg.Corr)
-		k()
-		return
-	}
-	to := fifo[0]
-	pq.pending[msg.Corr] = fifo[1:]
-	rt.inTransit++
-	if stage+1 < len(pl.stages) {
+		to := fifo[0]
+		bq.pending[msg.Corr] = fifo[1:]
+		rt.inTransit++
 		rt.execT(t, rt.plat.Params.DispatchCost, func(time.Duration) {
-			pl.relayed++
-			rt.plat.Tracer.Emit(t.Now(), trace.Relay, uint64(stage+1), 0)
-			pl.pushStageT(t, stage+1, msg.Payload, to, func() {
+			s.relayed++
+			rt.plat.Tracer.Emit(t.Now(), trace.Relay, uint64(next), 0)
+			from := to.udpFrom
+			if to.conn != nil {
+				from = to.conn.RemoteAddr()
+			}
+			qi := s.pick(from, next)
+			nq := s.stages[next][qi]
+			nq.q.PushT(t, msg.Payload, 0, func(slot int, err error) {
+				if err != nil {
+					s.shed(t.Now(), nq, qi, trace.SpanID(msg.Payload))
+				} else {
+					nq.pending[slot] = append(nq.pending[slot], to)
+				}
 				rt.inTransit--
-				k()
+				relay(j + 1)
 			})
 		})
-		return
 	}
-	rt.execT(t, rt.plat.Params.ForwardCost, func(time.Duration) {
-		var cost time.Duration
-		switch pl.proto {
-		case UDP:
-			cost = rt.udpCost()
-		case TCP:
-			cost = rt.tcpCost()
-		}
-		rt.execT(t, cost, func(time.Duration) {
-			switch pl.proto {
-			case UDP:
-				pl.udpSock.SendTo(to.udpFrom, msg.Payload)
-			case TCP:
-				if to.conn != nil {
-					_ = to.conn.Send(nil, msg.Payload)
-				}
-			}
-			rt.stats.Responded++
-			rt.inTransit--
-			k()
-		})
-	})
+	relay(0)
 }

@@ -7,6 +7,7 @@ import (
 
 	"lynx/internal/accel"
 	"lynx/internal/core"
+	"lynx/internal/fault"
 	"lynx/internal/metrics"
 	"lynx/internal/model"
 	"lynx/internal/mqueue"
@@ -29,8 +30,14 @@ type bed struct {
 
 func newBed(t *testing.T, seed uint64) *bed {
 	t.Helper()
+	return newFaultBed(t, seed, fault.Config{})
+}
+
+// newFaultBed is newBed with a fault-injection plan built from fc.
+func newFaultBed(t *testing.T, seed uint64, fc fault.Config) *bed {
+	t.Helper()
 	p := model.Default()
-	tb := snic.NewTestbed(seed, &p)
+	tb := snic.NewTestbedWith(seed, &p, fc)
 	server := tb.NewMachine("server1", 6)
 	bf := server.AttachBlueField("bf1")
 	gpu := server.AddGPU("gpu0", accel.K40m, false, "server1")

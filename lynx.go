@@ -59,13 +59,12 @@ type (
 	Server = core.Runtime
 	// AccelHandle binds a registered accelerator's mqueues.
 	AccelHandle = core.AccelHandle
-	// Service is a client-facing UDP/TCP service.
+	// Service is a client-facing UDP/TCP service. A pipeline (AddPipeline)
+	// is a Service whose requests traverse more than one accelerator stage,
+	// with the SNIC relaying between them.
 	Service = core.Service
 	// ClientBinding is a client mqueue bound to a backend.
 	ClientBinding = core.ClientBinding
-	// Pipeline is a multi-accelerator composition: requests traverse a
-	// chain of accelerator stages with the SNIC relaying between them.
-	Pipeline = core.Pipeline
 	// Queue is the accelerator-side mqueue handle (the lightweight I/O
 	// library accelerator code uses).
 	Queue = mqueue.AccelQueue
