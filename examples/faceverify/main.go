@@ -48,7 +48,7 @@ func main() {
 						return
 					}
 					backend.CPU.ExecOn(p, 2*time.Microsecond)
-					if conn.Send(p, store.ServeRaw(msg)) != nil {
+					if conn.Send(store.ServeRaw(msg)) != nil {
 						return
 					}
 				}

@@ -34,7 +34,7 @@ type Monitor struct {
 // monitorSeriesCap bounds each sampled series (most recent samples kept).
 const monitorSeriesCap = 4096
 
-// StartMonitor spawns a probe process sampling the runtime every interval of
+// StartMonitor spawns a probe task sampling the runtime every interval of
 // virtual time into bounded series registered in reg (a new registry is
 // created when reg is nil). It also registers the runtime's counter
 // snapshot. Call it after Start, once services and accelerators are wired.
@@ -102,10 +102,10 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 	lastCPU := rt.cpuBusy
 	lastSerial := rt.serialBusy
 	lastWire := rt.plat.NetHost.WireBusy()
-	rt.plat.Sim.Spawn("lynx/monitor", func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
-			at := time.Duration(p.Now())
+	rt.plat.Sim.SpawnTask("lynx/monitor", func(t *sim.Task) {
+		var sample func()
+		sample = func() {
+			at := time.Duration(t.Now())
 
 			busy := rt.cpuBusy - lastCPU
 			lastCPU = rt.cpuBusy
@@ -175,7 +175,9 @@ func (rt *Runtime) StartMonitor(interval time.Duration, reg *metrics.Registry) *
 					hp.pcieUtil.Add(at, clamp01(float64(d)/(float64(interval)*float64(len(hp.links)))))
 				}
 			}
+			t.Sleep(interval, sample)
 		}
+		t.Sleep(interval, sample)
 	})
 	return m
 }

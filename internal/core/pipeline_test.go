@@ -347,7 +347,7 @@ func TestPipelineBatchedInvariants(t *testing.T) {
 							return
 						}
 						call = func(req []byte) []byte {
-							conn.Send(p, req)
+							conn.Send(req)
 							msg, _ := conn.Recv(p)
 							return msg
 						}

@@ -255,7 +255,7 @@ func (r *Replicator) HeldResponses() uint64 { return r.held }
 
 // onDispatch runs after a request was accepted into a primary mqueue. Pure
 // bookkeeping — the record deliveries happen on the pump process — so the
-// dispatch paths of both substrates stay operation-identical.
+// unbatched and batched dispatch paths stay operation-identical.
 func (r *Replicator) onDispatch(payload []byte) {
 	id, mask, write := r.cfg.Classify(payload)
 	if !write {
@@ -398,72 +398,92 @@ func (r *Replicator) killPeer(now sim.Time, rp *replPeer) {
 	r.gate.Fire()
 }
 
-// pump is the replicator's delivery process ("lynx/repl-pump"), spawned by
+// pumpT is the replicator's delivery process ("lynx/repl-pump"), spawned by
 // Start: it flushes peer outboxes into ingest rings and completes the
 // forward of released responses. One pass per gate version; when a pass
-// makes no progress and nothing fired meanwhile, it blocks — bounded by the
+// makes no progress and nothing fired meanwhile, it parks — bounded by the
 // ack deadline while any live peer owes acknowledgements, since a fully
 // frozen peer produces no TX activity to wake the MQ manager (whose watchdog
 // is the other failover trigger) and would otherwise park responses forever.
-func (r *Replicator) pump(p *sim.Proc) {
+// The pump runs once per replicated write, so its continuations are bound
+// once here and the record or response in flight travels in shared state.
+func (r *Replicator) pumpT(t *sim.Task) {
 	rt := r.rt
 	wd := rt.plat.Params.MQWatchdogTimeout
-	for {
-		v := r.gate.Version()
-		progressed := false
-		for _, rp := range r.peers {
-			for len(rp.outbox) > 0 && !rp.dead {
-				rec := rp.outbox[0]
-				rt.execParallel(p, rt.plat.Params.ForwardCost)
-				if _, err := rp.q.Push(p, rec, 0); err != nil {
-					// Ingest ring full: the peer is backlogged (or
-					// stalling). Keep the record queued; the next ack
-					// frees a slot and re-fires the gate, and a dead
-					// verdict discards the outbox.
-					r.stats.Backlogged++
-					break
-				}
-				rp.outbox = rp.outbox[1:]
-				if rp.outstanding == 0 {
-					rp.since = p.Now()
-				}
-				rp.outstanding++
-				r.stats.Records++
-				progressed = true
+	var (
+		v                    uint64
+		progressed           bool
+		pi                   int      // peer whose outbox is being flushed
+		rec                  []byte   // record in flight to peer pi
+		hr                   heldResp // released response being sent
+		qw                   time.Duration
+		pass, flush, release func()
+	)
+	delivered := func(_ int, err error) {
+		if rp := r.peers[pi]; err != nil {
+			// Ingest ring full: the peer is backlogged (or stalling). Keep
+			// the record queued and move on to the next peer; the next ack
+			// frees a slot and re-fires the gate, and a dead verdict
+			// discards the outbox.
+			r.stats.Backlogged++
+			pi++
+		} else {
+			rp.outbox = rp.outbox[1:]
+			if rp.outstanding == 0 {
+				rp.since = t.Now()
 			}
-		}
-		for len(r.releasable) > 0 {
-			hr := r.releasable[0]
-			id := trace.SpanID(hr.payload)
-			qw := rt.exec(p, rt.plat.Params.ForwardCost)
-			switch r.svc.proto {
-			case UDP:
-				qw += rt.exec(p, rt.udpCost())
-				r.svc.udpSock.SendTo(hr.to.udpFrom, hr.payload)
-			case TCP:
-				qw += rt.exec(p, rt.tcpCost())
-				if hr.to.conn != nil {
-					_ = hr.to.conn.Send(p, hr.payload)
-				}
-			}
-			rt.stats.Responded++
-			r.releasable = r.releasable[1:]
-			r.held--
-			r.stats.Released++
-			rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-			rt.plat.Spans.Stamp(id, trace.StageForward, p.Now())
-			rt.plat.Tracer.Emit(p.Now(), trace.Forward, uint64(len(hr.payload)), 0)
+			rp.outstanding++
+			r.stats.Records++
 			progressed = true
 		}
+		flush()
+	}
+	deliver := func(time.Duration) { r.peers[pi].q.PushT(t, rec, 0, delivered) }
+	flush = func() {
+		for ; pi < len(r.peers); pi++ {
+			if rp := r.peers[pi]; len(rp.outbox) > 0 && !rp.dead {
+				rec = rp.outbox[0]
+				rt.execParallelT(t, rt.plat.Params.ForwardCost, deliver)
+				return
+			}
+		}
+		release()
+	}
+	sent := func(w time.Duration) {
+		qw += w
+		r.svc.send(hr.to, hr.payload)
+		rt.stats.Responded++
+		r.releasable = r.releasable[1:]
+		r.held--
+		r.stats.Released++
+		id := trace.SpanID(hr.payload)
+		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
+		rt.plat.Spans.Stamp(id, trace.StageForward, t.Now())
+		rt.plat.Tracer.Emit(t.Now(), trace.Forward, uint64(len(hr.payload)), 0)
+		progressed = true
+		release()
+	}
+	send := func(w time.Duration) {
+		qw = w
+		rt.execT(t, r.svc.sendCost(), sent)
+	}
+	woke := func(bool) { pass() }
+	release = func() {
+		if len(r.releasable) > 0 {
+			hr = r.releasable[0]
+			rt.execT(t, rt.plat.Params.ForwardCost, send)
+			return
+		}
 		if progressed {
-			continue
+			pass()
+			return
 		}
 		// Ack deadline: a live peer holding delivered-but-unacknowledged
 		// records whose progress clock stopped for the watchdog timeout is
 		// declared dead here, on the SNIC, without waiting for the MQ
 		// manager (its activity gate never fires for a frozen ring).
 		if wd > 0 {
-			now := p.Now()
+			now := t.Now()
 			killed := false
 			wait := time.Duration(-1)
 			for _, rp := range r.peers {
@@ -479,15 +499,27 @@ func (r *Replicator) pump(p *sim.Proc) {
 				}
 			}
 			if killed {
-				continue // flush the responses the verdicts released
+				pass() // flush the responses the verdicts released
+				return
 			}
 			if wait >= 0 {
-				r.gate.WaitTimeout(p, v, wait)
-				continue
+				if inline, _ := r.gate.WaitTimeoutT(t, v, wait, woke); inline {
+					pass()
+				}
+				return
 			}
 		}
-		r.gate.Wait(p, v)
+		if r.gate.WaitT(t, v, pass) {
+			pass()
+		}
 	}
+	pass = func() {
+		v = r.gate.Version()
+		progressed = false
+		pi = 0
+		flush()
+	}
+	pass()
 }
 
 // sortUint64s is an insertion sort: the pending-write set at a failover

@@ -241,34 +241,6 @@ func NewRuntime(plat Platform) *Runtime {
 	return rt
 }
 
-// exec charges one unit of frontend CPU work, splitting it into the
-// serialized stack section (the shared VMA ring + dispatcher state) and the
-// parallel remainder (see model.StackSerialFraction). It returns the time the
-// work queued for a core or the serial section beyond the charged cost — the
-// dispatcher-inbox wait the attribution profile books against PhaseSNIC.
-func (rt *Runtime) exec(p *sim.Proc, cost time.Duration) time.Duration {
-	scaled := rt.plat.Machine.Scale(cost)
-	ser := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
-	rt.cpuBusy += scaled
-	rt.serialBusy += ser
-	rt.execCalls++
-	t0 := p.Now()
-	rt.serial.With(p, ser, nil)
-	rt.cores.With(p, scaled-ser, nil)
-	return p.Now().Sub(t0) - scaled
-}
-
-// execParallel charges CPU work with no serialized section: client-mqueue
-// bindings each own a dedicated connection context, so they scale with
-// cores. Like exec it returns the queueing delay beyond the charged cost.
-func (rt *Runtime) execParallel(p *sim.Proc, cost time.Duration) time.Duration {
-	scaled := rt.plat.Machine.Scale(cost)
-	rt.cpuBusy += scaled
-	t0 := p.Now()
-	rt.cores.With(p, scaled, nil)
-	return p.Now().Sub(t0) - scaled
-}
-
 func (rt *Runtime) udpCost() time.Duration {
 	return rt.plat.Params.UDPCost(model.XeonCore, rt.plat.Bypass)
 }
@@ -636,33 +608,6 @@ func (s *Service) shed(now sim.Time, bq *boundQueue, qi int, id uint64) {
 	s.rt.plat.Spans.Close(id, trace.SpanDropped, now)
 }
 
-// dispatch delivers one client message to the server mqueue pick selects.
-func (s *Service) dispatch(p *sim.Proc, payload []byte, to replyTo, from netstack.Addr) {
-	rt := s.rt
-	rt.plat.Tracer.Emit(p.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
-	qw := rt.exec(p, rt.plat.Params.DispatchCost)
-	qi := s.pick(from, 0)
-	bq := s.stages[0][qi]
-	id := trace.SpanID(payload)
-	rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-	rt.plat.Spans.Stamp(id, trace.StageDispatch, p.Now())
-	rt.plat.Spans.SetQueue(id, qi)
-	slot, err := bq.q.Push(p, payload, 0)
-	if err != nil {
-		s.shed(p.Now(), bq, qi, id)
-		return
-	}
-	// Fallback for queues without their own span table (first-write-wins:
-	// a queue armed with cfg.Spans already stamped at write-delivery time).
-	rt.plat.Spans.Stamp(id, trace.StagePushed, p.Now())
-	bq.pending[slot] = append(bq.pending[slot], to)
-	rt.stats.Received++
-	rt.plat.Tracer.Emit(p.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-	if s.repl != nil {
-		s.repl.onDispatch(payload)
-	}
-}
-
 // shareWait splits a measured queueing wait evenly across the k spans of a
 // batch, folding the integer-division remainder into the first share so the
 // shares sum exactly to the measured wait: the telescoping identity the
@@ -839,28 +784,7 @@ func (rt *Runtime) Start() error {
 				})
 			}
 		case TCP:
-			s.Spawn(fmt.Sprintf("lynx/tcp-accept:%d", svc.port), func(p *sim.Proc) {
-				for {
-					conn := svc.tcpList.Accept(p)
-					s.Spawn(fmt.Sprintf("lynx/tcp-rx:%d", svc.port), func(p *sim.Proc) {
-						for {
-							msg, enq, err := conn.RecvQueued(p)
-							if err != nil {
-								return
-							}
-							id := trace.SpanID(msg)
-							now := p.Now()
-							rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-							if enq > 0 {
-								rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(enq))
-							}
-							qw := rt.exec(p, rt.tcpCost())
-							rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-							svc.dispatch(p, msg, replyTo{conn: conn}, conn.RemoteAddr())
-						}
-					})
-				}
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/tcp-accept:%d", svc.port), svc.serveTCPT)
 		}
 	}
 
@@ -868,82 +792,9 @@ func (rt *Runtime) Start() error {
 	// inbound. UDP bindings also run a retry process enforcing the
 	// per-request timeout with bounded retransmission + exponential backoff.
 	for _, cb := range rt.clients {
-		cb := cb
-		s.Spawn(fmt.Sprintf("lynx/client-mq:%s", cb.dst), func(p *sim.Proc) {
-			switch cb.proto {
-			case UDP:
-				rt.nextEphemeral++
-				sock, err := rt.plat.NetHost.UDPBind(52000 + rt.nextEphemeral)
-				if err != nil {
-					return
-				}
-				cb.sock = sock
-				for {
-					dg := sock.Recv(p)
-					rt.execParallel(p, rt.udpCost())
-					if len(cb.outstanding) > 0 {
-						// FIFO response matching settles the oldest request
-						// (late duplicates of retransmitted requests settle
-						// newer ones — harmless for idempotent backends).
-						cb.outstanding = cb.outstanding[1:]
-					}
-					rt.plat.Tracer.Emit(p.Now(), trace.BackendIn, uint64(len(dg.Payload)), uint64(cb.qi))
-					rt.plat.Spans.Stamp(trace.SpanID(dg.Payload), trace.StageBackendIn, p.Now())
-					if _, err := cb.bq.q.Push(p, dg.Payload, 0); err != nil {
-						rt.drop(p.Now(), DropBackend, uint64(cb.qi))
-					}
-				}
-			case TCP:
-				conn, err := rt.plat.NetHost.TCPDial(p, cb.dst)
-				if err != nil {
-					return
-				}
-				cb.conn = conn
-				for {
-					msg, err := conn.Recv(p)
-					if err != nil {
-						// §5.1: error status delivered via metadata.
-						_, _ = cb.bq.q.Push(p, nil, 1)
-						return
-					}
-					rt.execParallel(p, rt.tcpCost())
-					rt.plat.Tracer.Emit(p.Now(), trace.BackendIn, uint64(len(msg)), uint64(cb.qi))
-					rt.plat.Spans.Stamp(trace.SpanID(msg), trace.StageBackendIn, p.Now())
-					if _, err := cb.bq.q.Push(p, msg, 0); err != nil {
-						rt.drop(p.Now(), DropBackend, uint64(cb.qi))
-					}
-				}
-			}
-		})
+		s.SpawnTask(fmt.Sprintf("lynx/client-mq:%s", cb.dst), cb.pumpT)
 		if cb.proto == UDP && rt.plat.Params.ClientRetryMax > 0 && rt.plat.Params.ClientRetryTimeout > 0 {
-			s.Spawn(fmt.Sprintf("lynx/client-retry:%s", cb.dst), func(p *sim.Proc) {
-				timeout := rt.plat.Params.ClientRetryTimeout
-				for {
-					p.Sleep(timeout / 4)
-					if cb.sock == nil {
-						continue
-					}
-					now := p.Now()
-					for len(cb.outstanding) > 0 {
-						head := &cb.outstanding[0]
-						if now < head.deadline {
-							break
-						}
-						if head.attempts >= rt.plat.Params.ClientRetryMax {
-							cb.outstanding = cb.outstanding[1:]
-							rt.drop(now, DropBackend, uint64(cb.qi))
-							continue
-						}
-						head.attempts++
-						rt.stats.Retries++
-						rt.plat.Tracer.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
-						rt.execParallel(p, rt.udpCost())
-						cb.sock.SendTo(cb.dst, head.payload)
-						// Exponential backoff: double the wait per attempt.
-						head.deadline = now.Add(timeout << uint(head.attempts))
-					}
-				}
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/client-retry:%s", cb.dst), cb.retryT)
 		}
 	}
 
@@ -952,8 +803,7 @@ func (rt *Runtime) Start() error {
 	// responses whose quorum was met. Spawned only when a replicator
 	// exists, so unreplicated runtimes schedule exactly as before.
 	for _, r := range rt.replicators {
-		r := r
-		s.Spawn(fmt.Sprintf("lynx/repl-pump:%d", r.svc.port), r.pump)
+		s.SpawnTask(fmt.Sprintf("lynx/repl-pump:%d", r.svc.port), r.pumpT)
 	}
 
 	// Remote MQ manager + message forwarder: one sweep process per

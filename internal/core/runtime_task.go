@@ -1,22 +1,18 @@
-// Task-substrate forms of the runtime's hot-path stages. The always-on
-// stages Start() hosts on Tasks are the UDP receive workers (batched and
-// unbatched) and the Remote MQ Manager sweep with its forwarders and
-// stage-to-stage relay — the processes that wake for every single message.
-// Cold and connection-scoped paths (TCP accept/rx, client bindings, retry
-// timers, the replication pump) stay on coroutine Procs.
+// The runtime's processes and the stages they run. Every process Start
+// spawns — the UDP receive workers, the TCP accept and per-connection receive
+// loops, the client-mqueue pumps and retry timers, the replication pump, the
+// Remote MQ Manager sweeps — and the monitor run on the run-to-completion
+// Task substrate: each wake executes inline in the scheduler loop, with no
+// goroutine switch. The stages here are therefore written in
+// continuation-passing style, and each has exactly one form.
 //
-// Where a stage is still needed on both substrates (exec, execParallel,
-// Service.dispatch), the Task form here is a continuation-passing port of its
-// coroutine counterpart in runtime.go and must stay operation-for-operation
-// identical to it: same order of exec charges, span stamps, tracer
-// emissions, counter updates, and blocking-primitive calls, so that a run is
-// byte-identical whichever substrate hosts the stage (see the seq-parity
-// contract in internal/sim). The batched dispatcher, the forwarders and the
-// relay exist only here: nothing hosts them on a coroutine, so they have no
-// Proc twin.
+// A loop that runs once per record binds its continuations once, when its
+// task starts, and passes per-record state through variables they share
+// instead of capturing it in a fresh closure per record.
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"lynx/internal/mqueue"
@@ -67,8 +63,12 @@ func (f *execFrame) finish() {
 	k(t.Now().Sub(t0) - total)
 }
 
-// execT is exec for tasks: k runs with the queueing wait once the serialized
-// and parallel shares have been held.
+// execT charges one unit of frontend CPU work, splitting it into the
+// serialized stack section (the shared VMA ring + dispatcher state) and the
+// parallel remainder (see model.StackSerialFraction). k runs once both shares
+// have been held, with the time the work queued for a core or the serial
+// section beyond the charged cost — the dispatcher-inbox wait the
+// attribution profile books against PhaseSNIC.
 func (rt *Runtime) execT(t *sim.Task, cost time.Duration, k func(qw time.Duration)) {
 	scaled := rt.plat.Machine.Scale(cost)
 	ser := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
@@ -106,8 +106,9 @@ func (rt *Runtime) execBatchT(t *sim.Task, cost time.Duration, n int, k func(qw 
 	rt.serial.WithT(t, ser, f.afterSerial)
 }
 
-// execParallelT is execParallel for tasks: no serialized share, so the frame
-// skips straight to the cores hold.
+// execParallelT charges CPU work with no serialized section: client-mqueue
+// bindings each own a dedicated connection context, so they scale with
+// cores. Like execT, k runs with the queueing delay beyond the charged cost.
 func (rt *Runtime) execParallelT(t *sim.Task, cost time.Duration, k func(qw time.Duration)) {
 	scaled := rt.plat.Machine.Scale(cost)
 	rt.cpuBusy += scaled
@@ -116,7 +117,7 @@ func (rt *Runtime) execParallelT(t *sim.Task, cost time.Duration, k func(qw time
 	rt.cores.WithT(t, scaled, f.afterCores)
 }
 
-// dispatchT is Service.dispatch for tasks.
+// dispatchT delivers one client message to the server mqueue pick selects.
 func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netstack.Addr, k func()) {
 	rt := s.rt
 	rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
@@ -133,6 +134,9 @@ func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netsta
 				k()
 				return
 			}
+			// Fallback for queues without their own span table
+			// (first-write-wins: a queue armed with cfg.Spans already
+			// stamped at write-delivery time).
 			rt.plat.Spans.Stamp(id, trace.StagePushed, t.Now())
 			bq.pending[slot] = append(bq.pending[slot], to)
 			rt.stats.Received++
@@ -283,21 +287,10 @@ func (s *Service) forwardResponsesT(t *sim.Task, bq *boundQueue, msgs []mqueue.T
 			k()
 			return
 		}
-		cost := rt.udpCost()
-		if s.proto == TCP {
-			cost = rt.tcpCost()
-		}
-		rt.execBatchT(t, cost, m, func(qw2 time.Duration) {
+		rt.execBatchT(t, s.sendCost(), m, func(qw2 time.Duration) {
 			qw += qw2
 			for j, msg := range msgs[:m] {
-				switch s.proto {
-				case UDP:
-					s.udpSock.SendTo(tos[j].udpFrom, msg.Payload)
-				case TCP:
-					if tos[j].conn != nil {
-						_ = tos[j].conn.Send(nil, msg.Payload)
-					}
-				}
+				s.send(tos[j], msg.Payload)
 				rt.stats.Responded++
 				rt.inTransit--
 				id := trace.SpanID(msg.Payload)
@@ -308,6 +301,23 @@ func (s *Service) forwardResponsesT(t *sim.Task, bq *boundQueue, msgs []mqueue.T
 			k()
 		})
 	})
+}
+
+// sendCost is the transport stack cost of sending one response.
+func (s *Service) sendCost() time.Duration {
+	if s.proto == TCP {
+		return s.rt.tcpCost()
+	}
+	return s.rt.udpCost()
+}
+
+// send transmits one response to the client its request came from.
+func (s *Service) send(to replyTo, payload []byte) {
+	if s.proto == UDP {
+		s.udpSock.SendTo(to.udpFrom, payload)
+	} else if to.conn != nil {
+		_ = to.conn.Send(payload)
+	}
 }
 
 // forwardOutT ships one accelerator-originated message of a client mqueue
@@ -333,7 +343,7 @@ func (cb *ClientBinding) forwardOutT(t *sim.Task, msg mqueue.TxMsg, k func()) {
 		case TCP:
 			rt.execParallelT(t, rt.tcpCost(), func(time.Duration) {
 				if cb.conn != nil {
-					if err := cb.conn.Send(nil, msg.Payload); err != nil {
+					if err := cb.conn.Send(msg.Payload); err != nil {
 						// Report the connection error through mqueue
 						// metadata (§5.1): push an empty error-flagged
 						// message.
@@ -395,4 +405,156 @@ func (s *Service) relayT(t *sim.Task, bq *boundQueue, msgs []mqueue.TxMsg, k fun
 		})
 	}
 	relay(0)
+}
+
+// serveTCPT is the TCP side of the Network Server ("lynx/tcp-accept"): it
+// accepts connections and spawns one receive task per connection.
+func (s *Service) serveTCPT(t *sim.Task) {
+	var accept func()
+	spawn := func(conn *netstack.TCPConn) {
+		s.rt.plat.Sim.SpawnTask(fmt.Sprintf("lynx/tcp-rx:%d", s.port), func(t *sim.Task) { s.recvTCPT(t, conn) })
+		accept()
+	}
+	accept = func() {
+		if conn, ok := s.tcpList.AcceptT(t, spawn); ok {
+			spawn(conn)
+		}
+	}
+	accept()
+}
+
+// recvTCPT is one connection's receive loop ("lynx/tcp-rx"): each framed
+// message is charged the TCP stack cost and dispatched. It ends when the
+// connection closes or resets.
+func (s *Service) recvTCPT(t *sim.Task, conn *netstack.TCPConn) {
+	rt := s.rt
+	var msg []byte
+	var loop func()
+	dispatch := func(qw time.Duration) {
+		rt.plat.Spans.AddWait(trace.SpanID(msg), trace.PhaseSNIC, qw)
+		s.dispatchT(t, msg, replyTo{conn: conn}, conn.RemoteAddr(), loop)
+	}
+	got := func(m []byte, enq sim.Time, err error) {
+		if err != nil {
+			return
+		}
+		msg = m
+		id := trace.SpanID(m)
+		now := t.Now()
+		rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
+		if enq > 0 {
+			rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(enq))
+		}
+		rt.execT(t, rt.tcpCost(), dispatch)
+	}
+	loop = func() { conn.RecvQueuedT(t, got) }
+	loop()
+}
+
+// pumpT is a client binding's inbound process ("lynx/client-mq"): it sets up
+// the static connection to the backend, then pushes every backend response
+// into the client mqueue's RX ring. A full ring drops the response.
+func (cb *ClientBinding) pumpT(t *sim.Task) {
+	rt := cb.rt
+	var msg []byte
+	var loop func()
+	pushed := func(_ int, err error) {
+		if err != nil {
+			rt.drop(t.Now(), DropBackend, uint64(cb.qi))
+		}
+		loop()
+	}
+	push := func(time.Duration) {
+		if cb.proto == UDP && len(cb.outstanding) > 0 {
+			// FIFO response matching settles the oldest request (late
+			// duplicates of retransmitted requests settle newer ones —
+			// harmless for idempotent backends).
+			cb.outstanding = cb.outstanding[1:]
+		}
+		rt.plat.Tracer.Emit(t.Now(), trace.BackendIn, uint64(len(msg)), uint64(cb.qi))
+		rt.plat.Spans.Stamp(trace.SpanID(msg), trace.StageBackendIn, t.Now())
+		cb.bq.q.PushT(t, msg, 0, pushed)
+	}
+	switch cb.proto {
+	case UDP:
+		rt.nextEphemeral++
+		sock, err := rt.plat.NetHost.UDPBind(52000 + rt.nextEphemeral)
+		if err != nil {
+			return
+		}
+		cb.sock = sock
+		got := func(dg netstack.Datagram) {
+			msg = dg.Payload
+			rt.execParallelT(t, rt.udpCost(), push)
+		}
+		loop = func() {
+			if dg, ok := sock.RecvT(t, got); ok {
+				got(dg)
+			}
+		}
+		loop()
+	case TCP:
+		got := func(m []byte, _ sim.Time, err error) {
+			if err != nil {
+				// §5.1: error status delivered via metadata.
+				cb.bq.q.PushT(t, nil, 1, func(int, error) {})
+				return
+			}
+			msg = m
+			rt.execParallelT(t, rt.tcpCost(), push)
+		}
+		loop = func() { cb.conn.RecvQueuedT(t, got) }
+		_ = rt.plat.NetHost.TCPDialT(t, cb.dst, func(conn *netstack.TCPConn) {
+			cb.conn = conn
+			loop()
+		})
+	}
+}
+
+// retryT is a UDP client binding's retransmission timer
+// ("lynx/client-retry"): every quarter timeout it resends each expired
+// request, doubling its deadline per attempt, and drops the ones out of
+// attempts.
+func (cb *ClientBinding) retryT(t *sim.Task) {
+	rt := cb.rt
+	timeout := rt.plat.Params.ClientRetryTimeout
+	var (
+		now        sim.Time
+		head       *pendingSend
+		tick, scan func()
+	)
+	resend := func(time.Duration) {
+		cb.sock.SendTo(cb.dst, head.payload)
+		// Exponential backoff: double the wait per attempt.
+		head.deadline = now.Add(timeout << uint(head.attempts))
+		scan()
+	}
+	scan = func() {
+		for len(cb.outstanding) > 0 {
+			head = &cb.outstanding[0]
+			if now < head.deadline {
+				break
+			}
+			if head.attempts >= rt.plat.Params.ClientRetryMax {
+				cb.outstanding = cb.outstanding[1:]
+				rt.drop(now, DropBackend, uint64(cb.qi))
+				continue
+			}
+			head.attempts++
+			rt.stats.Retries++
+			rt.plat.Tracer.Emit(now, trace.Retry, uint64(cb.qi), uint64(head.attempts))
+			rt.execParallelT(t, rt.udpCost(), resend)
+			return
+		}
+		t.Sleep(timeout/4, tick)
+	}
+	tick = func() {
+		if cb.sock == nil {
+			t.Sleep(timeout/4, tick)
+			return
+		}
+		now = t.Now()
+		scan()
+	}
+	t.Sleep(timeout/4, tick)
 }

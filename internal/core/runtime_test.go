@@ -176,7 +176,7 @@ func TestTCPServiceEcho(t *testing.T) {
 			return
 		}
 		for i := 0; i < 50; i++ {
-			conn.Send(p, []byte(fmt.Sprintf("req-%02d", i)))
+			conn.Send([]byte(fmt.Sprintf("req-%02d", i)))
 			msg, err := conn.Recv(p)
 			if err != nil {
 				t.Error(err)
@@ -267,7 +267,7 @@ func TestClientQueueToBackend(t *testing.T) {
 				return
 			}
 			backend.CPU.ExecOn(p, 4*time.Microsecond)
-			conn.Send(p, append([]byte("db:"), msg...))
+			conn.Send(append([]byte("db:"), msg...))
 		}
 	})
 
@@ -572,7 +572,7 @@ func TestClientQueueConnectionErrorMetadata(t *testing.T) {
 		if err != nil {
 			return
 		}
-		serverConn.Send(p, msg)
+		serverConn.Send(msg)
 		// Then the backend dies abruptly.
 		p.Sleep(50 * time.Microsecond)
 		serverConn.Abort()
@@ -727,5 +727,71 @@ func TestRuntimeAccessors(t *testing.T) {
 	b.tb.Sim.Shutdown()
 	if rt.CPUBusy() == 0 || rt.ExecCalls() == 0 {
 		t.Fatal("request did not register CPU work")
+	}
+}
+
+// A client-mqueue UDP request the backend never answers is retransmitted by
+// the retry timer at exponentially growing deadlines (timeout, then 2x, 4x
+// after each attempt, checked every quarter timeout) and dropped once
+// ClientRetryMax retransmissions went unanswered.
+func TestClientQueueUDPRetryBackoff(t *testing.T) {
+	b := newBed(t, 13)
+	b.tb.NewMachine("backend1", 6) // no socket on the port: a black hole
+	plat := b.bf.Platform(7)
+	tr := trace.New(64)
+	plat.Tracer = tr
+	rt := core.NewRuntime(plat)
+	h, _ := rt.Register(b.gpu, mqueue.Config{Kind: mqueue.ClientQueue, Slots: 16, SlotSize: 128}, 1)
+	cb, err := rt.AddClientQueue(h, core.UDP, netstack.Addr{Host: "backend1", Port: 5300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq := h.AccelQueues()[cb.QueueIndex()]
+	b.gpu.LaunchPersistent(b.tb.Sim, 1, func(tb *accel.TB) {
+		aq.Send(tb.Proc(), 0, []byte("lost"))
+	})
+	rt.Start()
+	b.tb.Sim.RunUntil(sim.Time(60 * time.Millisecond))
+	b.tb.Sim.Shutdown()
+
+	timeout, quarter := b.params.ClientRetryTimeout, b.params.ClientRetryTimeout/4
+	var sent sim.Time
+	var retries []sim.Time
+	var dropped []sim.Time
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Kind == trace.BackendOut:
+			sent = ev.At
+		case ev.Kind == trace.Retry:
+			if want := uint64(len(retries) + 1); ev.Arg1 != want {
+				t.Errorf("retry %d carries attempt %d", want, ev.Arg1)
+			}
+			retries = append(retries, ev.At)
+		case ev.Kind == trace.Drop && ev.Arg1 == uint64(core.DropBackend):
+			dropped = append(dropped, ev.At)
+		}
+	}
+	if len(retries) != b.params.ClientRetryMax || len(dropped) != 1 {
+		t.Fatalf("%d retries and %d backend drops, want %d and 1:\n%s",
+			len(retries), len(dropped), b.params.ClientRetryMax, tr.Summary())
+	}
+	// Each expiry is noticed at the first quarter-timeout tick past its
+	// deadline; a retransmission's deadline counts from that tick.
+	checks := []struct {
+		from, to sim.Time
+		wait     time.Duration
+	}{
+		{sent, retries[0], timeout},
+		{retries[0], retries[1], 2 * timeout},
+		{retries[1], retries[2], 4 * timeout},
+		{retries[2], dropped[0], 8 * timeout},
+	}
+	for i, c := range checks {
+		if gap := c.to.Sub(c.from); gap < c.wait || gap > c.wait+quarter {
+			t.Errorf("step %d: expired after %v, want within a tick of %v", i, gap, c.wait)
+		}
+	}
+	if st := rt.Stats(); st.Retries != uint64(b.params.ClientRetryMax) || st.DroppedBackend != 1 {
+		t.Errorf("stats %v", st)
 	}
 }

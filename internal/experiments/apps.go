@@ -261,7 +261,7 @@ func memcachedBackend(e *env) (*snic.Machine, *kvstore.Store) {
 						return
 					}
 					backend.CPU.ExecOn(p, e.params.MemcachedOpXeon)
-					if conn.Send(p, store.ServeRaw(msg)) != nil {
+					if conn.Send(store.ServeRaw(msg)) != nil {
 						return
 					}
 				}
@@ -363,7 +363,7 @@ func sec64FaceVerify(cfg Config) *Report {
 				conn := conns.Get(p)
 				defer conns.Put(p, conn)
 				e.server.CPU.ExecOn(p, e.params.TCPCost(model.XeonCore, true))
-				if conn.Send(p, kvstore.EncodeGet(string(label))) != nil {
+				if conn.Send(kvstore.EncodeGet(string(label))) != nil {
 					return req
 				}
 				reply, err := conn.Recv(p)

@@ -48,7 +48,7 @@ func extIntegratedNIC(cfg Config) *Report {
 						scalar.With(p, tcpCost, nil)       // rx stack
 						computeUnits.With(p, service, nil) // the kernel
 						scalar.With(p, tcpCost, nil)       // tx stack
-						if conn.Send(p, msg) != nil {
+						if conn.Send(msg) != nil {
 							return
 						}
 					}

@@ -153,46 +153,68 @@ func fig5Rate(cfg Config, m fig5Mech, payload int) float64 {
 			fromGPU.Put(tb.Proc(), msg)
 		}
 	})
-	gdrOp := func(pr *sim.Proc) { pr.Sleep(p.GdrcopySetup + p.PCIeLatency) }
+	gdr := p.GdrcopySetup + p.PCIeLatency // one doorbell store via the mapped BAR
 	done := 0
-	e.tb.Sim.Spawn("manager", func(pr *sim.Proc) {
-		buf := make([]byte, payload)
-		for {
-			// Deliver payload + notification.
-			switch {
-			case m.dataRDMA && m.controlRDMA:
-				qp.Write(pr, region, 0, buf) // coalesced single write
-			case m.dataRDMA:
-				qp.Write(pr, region, 0, buf)
-				gdrOp(pr) // doorbell via mapped BAR store
-			default:
-				st.MemcpyH2D(pr, payload)
-				if m.controlGdr {
-					gdrOp(pr)
-				} else {
-					st.MemcpyH2D(pr, 4)
-				}
-			}
-			toGPU.Put(pr, buf)
-			resp := fromGPU.Get(pr)
+	buf := make([]byte, payload)
+	if m.dataRDMA {
+		// The RDMA mechanisms drive the queue with one-sided verbs, so the
+		// manager is a task.
+		e.tb.Sim.SpawnTask("manager", func(t *sim.Task) {
+			var deliver func()
+			var resp []byte
 			// Collect the response with the real poll protocol:
 			// header-counter read, payload read, consumed-counter
 			// write-back.
-			if m.dataRDMA {
-				qp.Read(pr, region, 0, 8)
-				qp.Read(pr, region, 0, len(resp))
-				qp.Write(pr, region, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0})
-			} else {
+			collected := func(rdma.CQE) {
+				done++
+				deliver()
+			}
+			payloadRead := func([]byte) { qp.WriteT(t, region, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0}, collected) }
+			headerRead := func([]byte) { qp.ReadT(t, region, 0, len(resp), payloadRead) }
+			collect := func(r []byte) {
+				resp = r
+				qp.ReadT(t, region, 0, 8, headerRead)
+			}
+			echo := func() {
+				toGPU.TryPut(buf) // unbounded: never refuses
+				if r, ok := fromGPU.GetT(t, collect); ok {
+					collect(r)
+				}
+			}
+			written := func(rdma.CQE) {
+				if m.controlRDMA {
+					echo() // coalesced single write
+					return
+				}
+				t.Sleep(gdr, echo) // doorbell via mapped BAR store
+			}
+			deliver = func() { qp.WriteT(t, region, 0, buf, written) }
+			deliver()
+		})
+	} else {
+		// The cudaMemcpy mechanisms block in the CUDA stream API, which
+		// runs on coroutine processes.
+		e.tb.Sim.Spawn("manager", func(pr *sim.Proc) {
+			for {
+				// Deliver payload + notification.
+				st.MemcpyH2D(pr, payload)
+				if m.controlGdr {
+					pr.Sleep(gdr)
+				} else {
+					st.MemcpyH2D(pr, 4)
+				}
+				toGPU.Put(pr, buf)
+				resp := fromGPU.Get(pr)
 				st.MemcpyD2H(pr, len(resp))
 				if m.controlGdr {
-					gdrOp(pr)
+					pr.Sleep(gdr)
 				} else {
 					st.MemcpyD2H(pr, 4)
 				}
+				done++
 			}
-			done++
-		}
-	})
+		})
+	}
 	window := cfg.window(8 * time.Millisecond)
 	e.tb.Sim.RunUntil(sim.Time(window))
 	e.tb.Sim.Shutdown()
@@ -291,15 +313,22 @@ func barrierRun(cfg Config, barrier bool) (time.Duration, float64) {
 		}
 	})
 	hist := metrics.NewHistogram()
-	e.tb.Sim.Spawn("pusher", func(p *sim.Proc) {
-		for {
-			start := p.Now()
-			if _, err := q.Push(p, make([]byte, 64), 0); err != nil {
-				p.Sleep(2 * time.Microsecond)
-				continue
+	e.tb.Sim.SpawnTask("pusher", func(t *sim.Task) {
+		var start sim.Time
+		var push func()
+		pushed := func(_ int, err error) {
+			if err != nil {
+				t.Sleep(2*time.Microsecond, push)
+				return
 			}
-			hist.Record(p.Now().Sub(start))
+			hist.Record(t.Now().Sub(start))
+			push()
 		}
+		push = func() {
+			start = t.Now()
+			q.PushT(t, make([]byte, 64), 0, pushed)
+		}
+		push()
 	})
 	window := cfg.window(5 * time.Millisecond)
 	e.tb.Sim.RunUntil(sim.Time(window))
@@ -350,14 +379,18 @@ func ablateCoalesce(cfg Config) *Report {
 			}
 		})
 		delivered := 0
-		e.tb.Sim.Spawn("pusher", func(p *sim.Proc) {
-			for {
-				if _, err := q.Push(p, make([]byte, 64), 0); err != nil {
-					p.Sleep(time.Microsecond)
-					continue
+		e.tb.Sim.SpawnTask("pusher", func(t *sim.Task) {
+			var push func()
+			pushed := func(_ int, err error) {
+				if err != nil {
+					t.Sleep(time.Microsecond, push)
+					return
 				}
 				delivered++
+				push()
 			}
+			push = func() { q.PushT(t, make([]byte, 64), 0, pushed) }
+			push()
 		})
 		e.tb.Sim.RunUntil(sim.Time(cfg.window(5 * time.Millisecond)))
 		ops := float64(e.server.RDMA.Ops())
@@ -465,16 +498,22 @@ func ablateQPShare(cfg Config) *Report {
 		panic(err)
 	}
 	var sharedOps, perQueueOps uint64
-	e.tb.Sim.Spawn("x", func(p *sim.Proc) {
+	e.tb.Sim.SpawnTask("x", func(t *sim.Task) {
 		before := e.server.RDMA.Ops()
-		group.Refresh(p)
-		sharedOps = e.server.RDMA.Ops() - before
-		// Per-queue polling: one header read per queue.
-		before = e.server.RDMA.Ops()
-		for i := 0; i < n; i++ {
-			group.Queue(i).Refresh(p)
-		}
-		perQueueOps = e.server.RDMA.Ops() - before
+		group.RefreshT(t, func() {
+			sharedOps = e.server.RDMA.Ops() - before
+			// Per-queue polling: one header read per queue.
+			before = e.server.RDMA.Ops()
+			var refresh func(i int)
+			refresh = func(i int) {
+				if i == n {
+					perQueueOps = e.server.RDMA.Ops() - before
+					return
+				}
+				group.Queue(i).RefreshT(t, func() { refresh(i + 1) })
+			}
+			refresh(0)
+		})
 	})
 	e.tb.Sim.RunUntil(sim.Time(time.Second))
 	e.tb.Sim.Shutdown()

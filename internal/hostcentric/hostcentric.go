@@ -181,7 +181,7 @@ func (sv *Server) Start() error {
 						sv.exec(p, sv.tcpCost())
 						resp := sv.handle(p, st, msg)
 						sv.exec(p, sv.tcpCost())
-						if conn.Send(p, resp) != nil {
+						if conn.Send(resp) != nil {
 							return
 						}
 					}

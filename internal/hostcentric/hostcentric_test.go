@@ -107,7 +107,7 @@ func TestTCPServer(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		conn.Send(p, []byte("hi"))
+		conn.Send([]byte("hi"))
 		msg, err := conn.Recv(p)
 		if err != nil {
 			t.Error(err)

@@ -62,7 +62,7 @@ func FuzzRingWraparound(f *testing.F) {
 			sent := 0
 			for rcvd < n {
 				if sent < n {
-					if _, err := snicQ.Push(p, payload(sent), 0); err == nil {
+					if _, err := push(p, snicQ, payload(sent), 0); err == nil {
 						sent++
 						continue
 					}
@@ -79,7 +79,7 @@ func FuzzRingWraparound(f *testing.F) {
 					p.Sleep(time.Microsecond)
 				}
 			}
-			snicQ.Refresh(p)
+			refresh(p, snicQ)
 			rxConsumed, txSeen = snicQ.Counters()
 		})
 		r.s.RunUntil(sim.Time(time.Second))

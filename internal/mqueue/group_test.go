@@ -45,20 +45,20 @@ func TestGroupEndToEnd(t *testing.T) {
 			// Dispatch round-robin across queues.
 			if sent < nq*perQ {
 				qi := sent % nq
-				if _, err := g.Queue(qi).Push(p, []byte(fmt.Sprintf("m%d", sent/nq)), 0); err == nil {
+				if _, err := push(p, g.Queue(qi), []byte(fmt.Sprintf("m%d", sent/nq)), 0); err == nil {
 					sent++
 				}
 			}
 			// Batched poll sweep: one header-block read for all queues.
-			g.Refresh(p)
+			refreshGroup(p, g)
 			for qi := 0; qi < nq; qi++ {
 				q := g.Queue(qi)
 				var buf [1]TxMsg
-				for q.PopTxMany(p, 1, buf[:]) == 1 {
+				for popTxMany(p, q, 1, buf[:]) == 1 {
 					got[qi] = append(got[qi], string(buf[0].Payload))
 					total++
 				}
-				q.CommitTx(p)
+				commitTx(p, q)
 			}
 		}
 	})
@@ -83,7 +83,7 @@ func TestGroupRefreshIsOneOp(t *testing.T) {
 	cfg := Config{Slots: 8, SlotSize: 64}
 	g, _ := NewGroup(r.region, 0, cfg, 240, r.qp)
 	r.s.Spawn("snic", func(p *sim.Proc) {
-		g.Refresh(p)
+		refreshGroup(p, g)
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -112,14 +112,14 @@ func TestGroupDrainOpCount(t *testing.T) {
 	r.s.Spawn("snic", func(p *sim.Proc) {
 		p.Sleep(100 * time.Microsecond) // let the accelerator produce
 		before = r.eng.Ops()
-		g.Refresh(p)
+		refreshGroup(p, g)
 		for i := 0; i < nq; i++ {
 			q := g.Queue(i)
 			var buf [1]TxMsg
-			for q.PopTxMany(p, 1, buf[:]) == 1 {
+			for popTxMany(p, q, 1, buf[:]) == 1 {
 				// Only the RDMA op count matters here.
 			}
-			q.CommitTx(p)
+			commitTx(p, q)
 		}
 		after = r.eng.Ops()
 	})
@@ -150,12 +150,12 @@ func TestGroupTxBackpressure(t *testing.T) {
 		p.Sleep(500 * time.Microsecond)
 		drainAt = p.Now()
 		q := g.Queue(0)
-		q.Refresh(p)
+		refresh(p, q)
 		var buf [1]TxMsg
-		for q.PopTxMany(p, 1, buf[:]) == 1 {
+		for popTxMany(p, q, 1, buf[:]) == 1 {
 			// Drain everything so the accelerator's Send can proceed.
 		}
-		q.CommitTx(p)
+		commitTx(p, q)
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()

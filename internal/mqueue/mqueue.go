@@ -13,7 +13,7 @@
 // Following §5.1 ("One RC QP per accelerator"), all mqueues of one
 // accelerator share one RDMA queue pair and one memory region, with the
 // per-queue headers packed contiguously so the SNIC refreshes the state of
-// every queue in a single RDMA READ per polling sweep (Group.Refresh). This
+// every queue in a single RDMA READ per polling sweep (Group.RefreshT). This
 // batching is what lets a small SNIC drive hundreds of mqueues.
 //
 // Two further properties of the paper's design are modelled explicitly:
@@ -98,7 +98,7 @@ type Config struct {
 	// pointer test per operation.
 	Check *check.Checker
 	// Spans, when non-nil, receives SNIC-side queue-wait attribution:
-	// PopTxMany books the TX-ring residency (drain start minus
+	// PopTxManyT books the TX-ring residency (drain start minus
 	// StageAccelSent) against the span's queueing phase. Nil costs one
 	// pointer test per drain.
 	Spans *trace.SpanTable
@@ -198,82 +198,24 @@ func buildSlot(payload []byte, errStatus byte, corr uint16, doorbell byte) []byt
 	return buf
 }
 
-// Push delivers one message into the accelerator's RX ring, returning the
-// slot used. It fails with ErrQueueFull when the ring has no free slot
-// (after refreshing the accelerator's counters once via RDMA).
-func (q *Queue) Push(p *sim.Proc, payload []byte, errStatus byte) (int, error) {
-	if len(payload) > q.cfg.MaxPayload() {
-		return 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-		q.Refresh(p)
-		if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
-			q.full++
-			return 0, ErrQueueFull
-		}
-	}
-	// Reserve the slot before the (blocking) RDMA write: several dispatcher
-	// contexts may push into the same queue concurrently, and the slot
-	// assignment must not be computed from a stale head after a yield.
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	off := q.lay.rxSlot(q.cfg, slot)
-	// The span's StagePushed is stamped when the message-bearing write is
-	// DELIVERED into the RX ring, not when its completion returns to the
-	// pushing context: the accelerator can consume the message as soon as
-	// the doorbell lands, which under load beats the completion's way back —
-	// stamping on return would let AccelRecv precede Pushed and break stage
-	// monotonicity.
-	stamp := q.stampPushed(payload)
-	switch {
-	case q.cfg.Barrier:
-		// Three transactions: payload+metadata (excluding the doorbell
-		// byte, which only the doorbell write may touch), barrier,
-		// doorbell.
-		buf := buildSlot(payload, errStatus, 0, 0)
-		q.qp.Write(p, q.region, off+offError, buf[offError:])
-		q.qp.Barrier(p, q.region)
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, []byte{1}, stamp)
-	case q.cfg.NoCoalesce:
-		// Two transactions: payload+metadata, then doorbell. Without a
-		// barrier these may become visible out of order on relaxed
-		// memory — the §5.1 hazard.
-		buf := buildSlot(payload, errStatus, 0, 0)
-		q.qp.Write(p, q.region, off+offError, buf[offError:])
-		q.qp.WriteNotify(p, q.region, off+offDoorbell, []byte{1}, stamp)
-	default:
-		// One coalesced transaction; NIC DMA commits lower addresses
-		// first, so a single write carrying data and notification is
-		// safe on strongly ordered regions (§5.1).
-		buf := buildSlot(payload, errStatus, 0, 1)
-		q.qp.WriteNotify(p, q.region, off, buf, stamp)
-	}
-	q.pushed++
-	return slot, nil
-}
-
 // QP returns the queue pair this queue's transfers ride on. Queues of one
 // group share a QP, which is what lets a dispatcher quantum post writes for
 // several queues under one doorbell.
 func (q *Queue) QP() *rdma.QP { return q.qp }
 
-// PushT is Push for run-to-completion tasks: k runs with the slot used (or
-// the error) once the message-bearing writes complete. Flow control, slot
-// reservation before any yield, checking and stamping match Push operation
-// for operation, so a ported caller produces byte-identical output. k runs
-// inline only on immediate validation failure.
+// PushT delivers one message into the accelerator's RX ring; k runs with the
+// slot used once the message-bearing writes complete. When the cached
+// counters show the ring full it re-reads the header once and fails with
+// ErrQueueFull if the accelerator still has not freed a slot. k runs inline
+// only on immediate validation failure.
 func (q *Queue) PushT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
 	if len(payload) > q.cfg.MaxPayload() {
 		k(0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()))
 		return
 	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+	if q.ringFull() {
 		q.RefreshT(t, func() {
-			if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+			if q.ringFull() {
 				q.full++
 				k(0, ErrQueueFull)
 				return
@@ -285,16 +227,29 @@ func (q *Queue) PushT(t *sim.Task, payload []byte, errStatus byte, k func(slot i
 	q.pushSlotT(t, payload, errStatus, k)
 }
 
-// pushSlotT reserves the next RX slot and issues the mode-dependent write
-// chain (the post-flow-control body of Push, in continuation-passing form).
-func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
+// ringFull reports whether, per the cached counters, the RX ring has no free
+// slot.
+func (q *Queue) ringFull() bool { return q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) }
+
+// reserve claims the next RX slot and returns it with its ring offset. The
+// slot is reserved before any yield: several dispatcher contexts may push
+// into the same queue concurrently, and the slot assignment must not be
+// computed from a stale head after a wait.
+func (q *Queue) reserve() (slot, off int) {
+	slot = int(q.rxHead % uint64(q.cfg.Slots))
 	q.rxHead++
 	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
 		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
 			q.rxHead, q.rxConsumed, q.cfg.Slots)
 	}
-	off := q.lay.rxSlot(q.cfg, slot)
+	return slot, q.lay.rxSlot(q.cfg, slot)
+}
+
+// pushSlotT reserves the next RX slot and issues the mode-dependent write
+// chain: one coalesced write, two writes without coalescing, or three with
+// the barrier.
+func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
+	slot, off := q.reserve()
 	stamp := q.stampPushed(payload)
 	done := func(rdma.CQE) {
 		q.pushed++
@@ -302,6 +257,9 @@ func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(sl
 	}
 	switch {
 	case q.cfg.Barrier:
+		// Three transactions: payload+metadata (excluding the doorbell
+		// byte, which only the doorbell write may touch), barrier,
+		// doorbell.
 		buf := buildSlot(payload, errStatus, 0, 0)
 		q.qp.WriteT(t, q.region, off+offError, buf[offError:], func(rdma.CQE) {
 			q.qp.BarrierT(t, q.region, func() {
@@ -309,11 +267,17 @@ func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(sl
 			})
 		})
 	case q.cfg.NoCoalesce:
+		// Two transactions: payload+metadata, then doorbell. Without a
+		// barrier these may become visible out of order on relaxed
+		// memory — the §5.1 hazard.
 		buf := buildSlot(payload, errStatus, 0, 0)
 		q.qp.WriteT(t, q.region, off+offError, buf[offError:], func(rdma.CQE) {
 			q.qp.WriteNotifyT(t, q.region, off+offDoorbell, []byte{1}, stamp, done)
 		})
 	default:
+		// One coalesced transaction; NIC DMA commits lower addresses
+		// first, so a single write carrying data and notification is
+		// safe on strongly ordered regions (§5.1).
 		buf := buildSlot(payload, errStatus, 0, 1)
 		q.qp.WriteNotifyT(t, q.region, off, buf, stamp, done)
 	}
@@ -325,23 +289,20 @@ func (q *Queue) pushSlotT(t *sim.Task, payload []byte, errStatus byte, k func(sl
 // share a QP — and post them together (rdma.PostAndWaitT) so a k-message
 // quantum costs ceil(k/doorbell) issue charges and ceil(k/cqDrain) wakeups
 // instead of k of each. Flow control (one header refresh retry, then
-// ErrQueueFull), slot reservation before any yield, ring-bound checking and
-// delivery-time StagePushed stamping are identical to Push. When no header
-// refresh is needed (the common case — the ring has known free slots) the WR
-// returns inline with ok=true and k never runs; otherwise the task parks in
-// the refresh and k runs with the result. Coalesced mode only: the barrier
-// and no-coalesce ablations model per-message transaction splits that
-// multi-WQE posting cannot honestly amortize.
+// ErrQueueFull), slot reservation and delivery-time StagePushed stamping are
+// identical to PushT. When no header refresh is needed (the common case — the
+// ring has known free slots) the WR returns inline with ok=true and k never
+// runs; otherwise the task parks in the refresh and k runs with the result.
+// Coalesced mode only: the barrier and no-coalesce ablations model
+// per-message transaction splits that multi-WQE posting cannot honestly
+// amortize.
 func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k func(rdma.WR, int, error)) (rdma.WR, int, error, bool) {
-	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: PrepareWriteT requires coalesced mode"), true
+	if err := q.coalescedOnly("PrepareWriteT", payload); err != nil {
+		return rdma.WR{}, 0, err, true
 	}
-	if len(payload) > q.cfg.MaxPayload() {
-		return rdma.WR{}, 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload()), true
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+	if q.ringFull() {
 		q.RefreshT(t, func() {
-			if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+			if q.ringFull() {
 				q.full++
 				k(rdma.WR{}, 0, ErrQueueFull)
 				return
@@ -355,20 +316,27 @@ func (q *Queue) PrepareWriteT(t *sim.Task, payload []byte, errStatus byte, k fun
 	return wr, slot, nil, true
 }
 
-// reserveWrite reserves the next RX slot and builds its coalesced WR (the
-// non-blocking tail of PrepareWriteT).
-func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
+// coalescedOnly validates a call of the WR-building forms (PrepareWriteT,
+// PushAsyncT): coalesced mode, and a payload that fits one slot.
+func (q *Queue) coalescedOnly(op string, payload []byte) error {
+	if q.cfg.Barrier || q.cfg.NoCoalesce {
+		return fmt.Errorf("mqueue: %s requires coalesced mode", op)
 	}
+	if len(payload) > q.cfg.MaxPayload() {
+		return fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
+	}
+	return nil
+}
+
+// reserveWrite reserves the next RX slot and builds its coalesced WR (the
+// non-blocking tail of PrepareWriteT and PushAsyncT).
+func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
+	slot, off := q.reserve()
 	q.pushed++
 	return rdma.WR{
 		Op:        rdma.OpWrite,
 		Region:    q.region,
-		Offset:    q.lay.rxSlot(q.cfg, slot),
+		Offset:    off,
 		Data:      buildSlot(payload, errStatus, 0, 1),
 		OnDeliver: q.stampPushed(payload),
 	}, slot
@@ -377,7 +345,12 @@ func (q *Queue) reserveWrite(payload []byte, errStatus byte) (rdma.WR, int) {
 // stampPushed returns the OnDeliver hook stamping StagePushed (or, for
 // replication ingest rings, StageReplPushed) for payload's span at the
 // write's delivery instant; nil when the queue has no span table (keeps the
-// uninstrumented push path allocation-free).
+// uninstrumented push path allocation-free). The stamp lands when the
+// message-bearing write is DELIVERED into the RX ring, not when its
+// completion returns to the pushing context: the accelerator can consume the
+// message as soon as the doorbell lands, which under load beats the
+// completion's way back — stamping on return would let AccelRecv precede
+// Pushed and break stage monotonicity.
 func (q *Queue) stampPushed(payload []byte) func(at sim.Time) {
 	sp := q.cfg.Spans
 	if rp := q.cfg.ReplSpans; rp != nil {
@@ -397,43 +370,28 @@ func (q *Queue) stampPushed(payload []byte) func(at sim.Time) {
 	return func(at sim.Time) { sp.Stamp(id, trace.StagePushed, at) }
 }
 
-// PushAsync delivers one message like Push but does not wait for the RDMA
-// write to complete — the posting context moves on immediately (hardware
-// pipelines like the Innova AFU, §5.2). Only valid in the default coalesced
-// mode. Flow control uses cached counters; callers should Refresh
-// periodically.
-func (q *Queue) PushAsync(p *sim.Proc, payload []byte, errStatus byte) (int, error) {
-	if q.cfg.Barrier || q.cfg.NoCoalesce {
-		return 0, fmt.Errorf("mqueue: PushAsync requires coalesced mode")
+// PushAsyncT delivers one message like PushT but does not wait for the RDMA
+// write to complete: k runs with the slot as soon as the write is posted
+// (hardware pipelines like the Innova AFU, §5.2, move on immediately). Only
+// valid in the default coalesced mode. Flow control uses the cached counters
+// without a header refresh; callers refresh periodically. k runs inline on
+// every error.
+func (q *Queue) PushAsyncT(t *sim.Task, payload []byte, errStatus byte, k func(slot int, err error)) {
+	if err := q.coalescedOnly("PushAsyncT", payload); err != nil {
+		k(0, err)
+		return
 	}
-	if len(payload) > q.cfg.MaxPayload() {
-		return 0, fmt.Errorf("mqueue: payload %d exceeds slot capacity %d", len(payload), q.cfg.MaxPayload())
-	}
-	if q.rxHead-q.rxConsumed >= uint64(q.cfg.Slots) {
+	if q.ringFull() {
 		q.full++
-		return 0, ErrQueueFull
+		k(0, ErrQueueFull)
+		return
 	}
-	slot := int(q.rxHead % uint64(q.cfg.Slots))
-	q.rxHead++
-	if ck := q.cfg.Check; ck.Enabled() && q.rxHead-q.rxConsumed > uint64(q.cfg.Slots) {
-		ck.Failf("mqueue.ring-bound", "async RX overcommit: head %d consumed %d slots %d",
-			q.rxHead, q.rxConsumed, q.cfg.Slots)
-	}
-	off := q.lay.rxSlot(q.cfg, slot)
-	q.qp.Post(p, rdma.WR{Op: rdma.OpWrite, Region: q.region, Offset: off,
-		Data: buildSlot(payload, errStatus, 0, 1), OnDeliver: q.stampPushed(payload)})
-	q.pushed++
-	return slot, nil
+	wr, slot := q.reserveWrite(payload, errStatus)
+	q.qp.PostT(t, wr, func() { k(slot, nil) })
 }
 
-// Refresh re-reads this queue's header counters with one RDMA READ.
-func (q *Queue) Refresh(p *sim.Proc) {
-	cqe := q.qp.ReadCQE(p, q.region, q.lay.hdr, 16)
-	q.absorbHeader(cqe.Data, cqe.At)
-}
-
-// RefreshT is Refresh for tasks: k runs once the header read lands and the
-// cached counters are updated.
+// RefreshT re-reads this queue's header counters with one RDMA READ; k runs
+// once the cached counters are updated.
 func (q *Queue) RefreshT(t *sim.Task, k func()) {
 	q.qp.ReadCQET(t, q.region, q.lay.hdr, 16, func(cqe rdma.CQE) {
 		q.absorbHeader(cqe.Data, cqe.At)
@@ -485,24 +443,13 @@ type TxMsg struct {
 	Slot    int
 }
 
-// PopTxMany drains up to budget TX messages with a single RDMA READ spanning
-// the contiguous run of ready slots, storing them into out and returning the
-// count. The run stops at the ring wrap (the next call picks up the
+// PopTxManyT drains up to budget TX messages with a single RDMA READ
+// spanning the contiguous run of ready slots, storing them into out; k runs
+// with the count. The run stops at the ring wrap (the next call picks up the
 // remainder), so one sweep visit costs at most two read round trips instead
-// of one per message; a budget of 1 reads exactly one slot. The caller must
-// eventually CommitTx so the accelerator sees the slots freed.
-func (q *Queue) PopTxMany(p *sim.Proc, budget int, out []TxMsg) int {
-	first, n := q.txRun(budget, out)
-	if n == 0 {
-		return 0
-	}
-	drainStart := p.Now()
-	raw := q.qp.Read(p, q.region, q.lay.txSlot(q.cfg, first), n*q.cfg.SlotSize)
-	return q.absorbTx(raw, first, n, drainStart, out)
-}
-
-// PopTxManyT is PopTxMany for tasks: k runs with the number of messages
-// stored into out. k runs inline (with 0) only when nothing is ready.
+// of one per message; a budget of 1 reads exactly one slot. k runs inline
+// (with 0) only when nothing is ready. The caller must eventually CommitTxT
+// so the accelerator sees the slots freed.
 func (q *Queue) PopTxManyT(t *sim.Task, budget int, out []TxMsg, k func(n int)) {
 	first, n := q.txRun(budget, out)
 	if n == 0 {
@@ -570,21 +517,9 @@ func (q *Queue) absorbTx(raw []byte, first, n int, drainStart sim.Time, out []Tx
 	return n
 }
 
-// CommitTx publishes the drained-TX counter to the accelerator (one RDMA
-// WRITE), releasing the slots for reuse. No-op when nothing was drained
-// since the last commit.
-func (q *Queue) CommitTx(p *sim.Proc) {
-	if !q.txDirty {
-		return
-	}
-	var buf [8]byte
-	putLeUint64(buf[:], q.txTail)
-	q.qp.Write(p, q.region, q.lay.hdr+hdrTxConsumed, buf[:])
-	q.txDirty = false
-}
-
-// CommitTxT is CommitTx for tasks: k runs once the counter write completes.
-// k runs inline when nothing was drained since the last commit.
+// CommitTxT publishes the drained-TX counter to the accelerator (one RDMA
+// WRITE), releasing the slots for reuse; k runs once the write completes. k
+// runs inline when nothing was drained since the last commit.
 func (q *Queue) CommitTxT(t *sim.Task, k func()) {
 	if !q.txDirty {
 		k()
@@ -676,19 +611,9 @@ func (g *Group) Len() int { return len(g.queues) }
 // Queue returns queue i.
 func (g *Group) Queue(i int) *Queue { return g.queues[i] }
 
-// Refresh reads the whole header block in one RDMA READ and updates every
+// RefreshT reads the whole header block in one RDMA READ and updates every
 // queue's cached counters — the batching that makes polling hundreds of
-// mqueues affordable.
-func (g *Group) Refresh(p *sim.Proc) {
-	cqe := g.qp.ReadCQE(p, g.region, g.base, len(g.queues)*QueueHeaderBytes)
-	for i, q := range g.queues {
-		q.absorbHeader(cqe.Data[i*QueueHeaderBytes:], cqe.At)
-	}
-	g.refreshes++
-}
-
-// RefreshT is Refresh for tasks: one RDMA READ covers every queue header in
-// the group; k runs once all cached counters are updated.
+// mqueues affordable; k runs once all are updated.
 func (g *Group) RefreshT(t *sim.Task, k func()) {
 	g.qp.ReadCQET(t, g.region, g.base, len(g.queues)*QueueHeaderBytes, func(cqe rdma.CQE) {
 		for i, q := range g.queues {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lynx/internal/check"
 	"lynx/internal/fabric"
 	"lynx/internal/memdev"
 	"lynx/internal/model"
@@ -113,7 +114,7 @@ func TestEndToEndEcho(t *testing.T) {
 		next := 0
 		for len(got) < n {
 			if next < n {
-				if _, err := snicQ.Push(p, []byte(fmt.Sprintf("msg-%02d", next)), 0); err == nil {
+				if _, err := push(p, snicQ, []byte(fmt.Sprintf("msg-%02d", next)), 0); err == nil {
 					next++
 					continue
 				}
@@ -149,11 +150,11 @@ func TestRingFullBackpressure(t *testing.T) {
 	r.s.Spawn("snic", func(p *sim.Proc) {
 		// Nobody consumes: the 5th push must fail.
 		for i := 0; i < 4; i++ {
-			if _, err := snicQ.Push(p, []byte{byte(i)}, 0); err != nil {
+			if _, err := push(p, snicQ, []byte{byte(i)}, 0); err != nil {
 				t.Errorf("push %d: %v", i, err)
 			}
 		}
-		if _, err := snicQ.Push(p, []byte{9}, 0); err != ErrQueueFull {
+		if _, err := push(p, snicQ, []byte{9}, 0); err != ErrQueueFull {
 			t.Errorf("push into full ring: %v", err)
 		}
 	})
@@ -179,14 +180,14 @@ func TestRingFullRecoversAfterConsumption(t *testing.T) {
 		}
 	})
 	r.s.Spawn("snic", func(p *sim.Proc) {
-		snicQ.Push(p, []byte{1}, 0)
-		snicQ.Push(p, []byte{2}, 0)
-		if _, err := snicQ.Push(p, []byte{3}, 0); err != ErrQueueFull {
+		push(p, snicQ, []byte{1}, 0)
+		push(p, snicQ, []byte{2}, 0)
+		if _, err := push(p, snicQ, []byte{3}, 0); err != ErrQueueFull {
 			t.Errorf("expected full, got %v", err)
 		}
 		p.Sleep(200 * time.Microsecond)
 		// GPU consumed: the retry must succeed (consumed counter refresh).
-		if _, err := snicQ.Push(p, []byte{3}, 0); err != nil {
+		if _, err := push(p, snicQ, []byte{3}, 0); err != nil {
 			t.Errorf("push after drain: %v", err)
 		}
 	})
@@ -206,7 +207,7 @@ func TestErrorStatusPropagates(t *testing.T) {
 	r.s.Spawn("gpu", func(p *sim.Proc) { got = accQ.Recv(p) })
 	r.s.Spawn("snic", func(p *sim.Proc) {
 		// §5.1: the SNIC reports detected connection errors in metadata.
-		snicQ.Push(p, []byte("conn reset"), 0x7)
+		push(p, snicQ, []byte("conn reset"), 0x7)
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -235,7 +236,7 @@ func TestRDMAOpsPerPush(t *testing.T) {
 			r := newRig(t, false, 1<<16)
 			snicQ, _ := New(r.region, 0, tc.cfg, r.qp)
 			r.s.Spawn("snic", func(p *sim.Proc) {
-				snicQ.Push(p, []byte("x"), 0)
+				push(p, snicQ, []byte("x"), 0)
 			})
 			r.s.RunUntil(sim.Time(time.Second))
 			r.s.Shutdown()
@@ -255,7 +256,7 @@ func TestBarrierOverheadNearFiveMicros(t *testing.T) {
 		r.s.Spawn("snic", func(p *sim.Proc) {
 			start := p.Now()
 			for i := 0; i < 10; i++ {
-				if _, err := snicQ.Push(p, make([]byte, 20), 0); err != nil {
+				if _, err := push(p, snicQ, make([]byte, 20), 0); err != nil {
 					t.Error(err)
 				}
 			}
@@ -294,7 +295,7 @@ func TestRelaxedOrderingCorruptionAndFix(t *testing.T) {
 		r.s.Spawn("snic", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
 				for {
-					_, err := snicQ.Push(p, payload(i), 0)
+					_, err := push(p, snicQ, payload(i), 0)
 					if err == nil {
 						break
 					}
@@ -352,7 +353,7 @@ func TestIntegrityProperty(t *testing.T) {
 			sent, rcvd := 0, 0
 			for rcvd < n {
 				if sent < n {
-					if _, err := snicQ.Push(p, mkPayload(sent), 0); err == nil {
+					if _, err := push(p, snicQ, mkPayload(sent), 0); err == nil {
 						sent++
 						continue
 					}
@@ -386,7 +387,7 @@ func TestOversizePayloadRejected(t *testing.T) {
 	snicQ, _ := New(r.region, 0, cfg, r.qp)
 	accQ, _ := Attach(r.region, 0, cfg, gpuProfile(r.params))
 	r.s.Spawn("x", func(p *sim.Proc) {
-		if _, err := snicQ.Push(p, make([]byte, 27), 0); err == nil {
+		if _, err := push(p, snicQ, make([]byte, 27), 0); err == nil {
 			t.Error("oversize push must fail")
 		}
 		if err := accQ.Send(p, 0, make([]byte, 27)); err == nil {
@@ -411,8 +412,8 @@ func TestMultipleQueuesShareRegionAndQP(t *testing.T) {
 	r.s.Spawn("tb1", func(p *sim.Proc) { got1 = a1.Recv(p).Payload })
 	r.s.Spawn("tb2", func(p *sim.Proc) { got2 = a2.Recv(p).Payload })
 	r.s.Spawn("snic", func(p *sim.Proc) {
-		q1.Push(p, []byte("one"), 0)
-		q2.Push(p, []byte("two"), 0)
+		push(p, q1, []byte("one"), 0)
+		push(p, q2, []byte("two"), 0)
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -456,7 +457,7 @@ func TestKindStringsAndAccessors(t *testing.T) {
 		t.Fatal("fresh queue has in-flight messages")
 	}
 	r.s.Spawn("x", func(p *sim.Proc) {
-		q.Push(p, []byte("a"), 0)
+		push(p, q, []byte("a"), 0)
 		if q.InFlight() != 1 {
 			t.Error("in-flight after push")
 		}
@@ -465,7 +466,7 @@ func TestKindStringsAndAccessors(t *testing.T) {
 	r.s.Shutdown()
 }
 
-// PushAsync (the Innova fast path): posted delivery, cached flow control.
+// PushAsyncT (the Innova fast path): posted delivery, cached flow control.
 func TestPushAsync(t *testing.T) {
 	r := newRig(t, false, 1<<16)
 	cfg := Config{Slots: 4, SlotSize: 64}
@@ -477,23 +478,23 @@ func TestPushAsync(t *testing.T) {
 		got = m.Payload
 	})
 	r.s.Spawn("snic", func(p *sim.Proc) {
-		if _, err := q.PushAsync(p, []byte("posted"), 0); err != nil {
+		if _, err := pushAsync(p, q, []byte("posted"), 0); err != nil {
 			t.Error(err)
 		}
 		// Fill the ring: the 5th push must fail on cached counters alone
 		// (no RDMA read).
 		for i := 0; i < 3; i++ {
-			if _, err := q.PushAsync(p, []byte{byte(i)}, 0); err != nil {
+			if _, err := pushAsync(p, q, []byte{byte(i)}, 0); err != nil {
 				t.Errorf("push %d: %v", i, err)
 			}
 		}
-		if _, err := q.PushAsync(p, []byte{9}, 0); err != ErrQueueFull {
+		if _, err := pushAsync(p, q, []byte{9}, 0); err != ErrQueueFull {
 			t.Errorf("full ring: %v", err)
 		}
 		// Barrier/NoCoalesce modes reject async pushes.
 		bq, _ := New(r.region, cfg.Footprint(), Config{Slots: 4, SlotSize: 64, Barrier: true}, r.qp)
-		if _, err := bq.PushAsync(p, []byte{1}, 0); err == nil {
-			t.Error("PushAsync must reject barrier mode")
+		if _, err := pushAsync(p, bq, []byte{1}, 0); err == nil {
+			t.Error("PushAsyncT must reject barrier mode")
 		}
 	})
 	r.s.RunUntil(sim.Time(time.Second))
@@ -530,9 +531,9 @@ func TestGroupActivityGate(t *testing.T) {
 }
 
 // drainAll runs an echo flow over a 4-slot ring and returns every response in
-// drain order, draining runs of up to budget messages per PopTxMany read.
+// drain order, draining runs of up to budget messages per PopTxManyT read.
 // The ring wraps several times, so the run-stops-at-wrap behavior of
-// PopTxMany is exercised.
+// PopTxManyT is exercised.
 func drainAll(t *testing.T, total, budget int) []TxMsg {
 	t.Helper()
 	r := newRig(t, false, 1<<16)
@@ -560,24 +561,24 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 		buf := make([]TxMsg, 8)
 		for len(got) < total {
 			if next < total {
-				if _, err := snicQ.Push(p, []byte(fmt.Sprintf("msg-%02d", next)), 0); err == nil {
+				if _, err := push(p, snicQ, []byte(fmt.Sprintf("msg-%02d", next)), 0); err == nil {
 					next++
 					continue
 				}
 			}
 			if !snicQ.Ready() {
-				snicQ.Refresh(p)
+				refresh(p, snicQ)
 			}
 			drained := false
 			for snicQ.Ready() {
-				k := snicQ.PopTxMany(p, budget, buf)
+				k := popTxMany(p, snicQ, budget, buf)
 				if k == 0 {
 					break
 				}
 				got = append(got, buf[:k]...)
 				drained = true
 			}
-			snicQ.CommitTx(p)
+			commitTx(p, snicQ)
 			if !drained {
 				p.Sleep(r.params.MQPollInterval)
 			}
@@ -588,7 +589,7 @@ func drainAll(t *testing.T, total, budget int) []TxMsg {
 	return got
 }
 
-// A budget-k PopTxMany drain must produce exactly the message sequence a
+// A budget-k PopTxManyT drain must produce exactly the message sequence a
 // budget-1 drain (one slot per read) produces — payloads, error bytes,
 // correlators and slots — across ring wraparounds.
 func TestPopTxManyBudgetOneMatchesBudgetK(t *testing.T) {
@@ -725,12 +726,87 @@ func TestPrepareWriteTFullRingAndAblations(t *testing.T) {
 // nothing is known ready, drain at most one TX message, and commit it.
 func pollOne(p *sim.Proc, q *Queue) (TxMsg, bool) {
 	if !q.Ready() {
-		q.Refresh(p)
+		refresh(p, q)
 	}
 	var buf [1]TxMsg
-	if q.PopTxMany(p, 1, buf[:]) == 0 {
+	if popTxMany(p, q, 1, buf[:]) == 0 {
 		return TxMsg{}, false
 	}
-	q.CommitTx(p)
+	commitTx(p, q)
 	return buf[0], true
+}
+
+// await runs op on a task of its own and blocks p until op's continuation
+// delivers a result. It lets the straight-line drivers of these tests call
+// the SNIC-side task forms: the task starts and hands its result back at the
+// current instant, so virtual-time measurements see only the operation.
+func await[T any](p *sim.Proc, op func(t *sim.Task, k func(T))) T {
+	done := sim.NewChan[T](p.Sim(), 0)
+	p.Sim().SpawnTask("await", func(t *sim.Task) { op(t, func(v T) { done.TryPut(v) }) })
+	return done.Get(p)
+}
+
+type pushResult struct {
+	slot int
+	err  error
+}
+
+func push(p *sim.Proc, q *Queue, payload []byte, errStatus byte) (int, error) {
+	r := await(p, func(t *sim.Task, k func(pushResult)) {
+		q.PushT(t, payload, errStatus, func(slot int, err error) { k(pushResult{slot, err}) })
+	})
+	return r.slot, r.err
+}
+
+func pushAsync(p *sim.Proc, q *Queue, payload []byte, errStatus byte) (int, error) {
+	r := await(p, func(t *sim.Task, k func(pushResult)) {
+		q.PushAsyncT(t, payload, errStatus, func(slot int, err error) { k(pushResult{slot, err}) })
+	})
+	return r.slot, r.err
+}
+
+func refresh(p *sim.Proc, q *Queue) {
+	await(p, func(t *sim.Task, k func(struct{})) { q.RefreshT(t, func() { k(struct{}{}) }) })
+}
+
+func refreshGroup(p *sim.Proc, g *Group) {
+	await(p, func(t *sim.Task, k func(struct{})) { g.RefreshT(t, func() { k(struct{}{}) }) })
+}
+
+func popTxMany(p *sim.Proc, q *Queue, budget int, out []TxMsg) int {
+	return await(p, func(t *sim.Task, k func(int)) { q.PopTxManyT(t, budget, out, k) })
+}
+
+func commitTx(p *sim.Proc, q *Queue) {
+	await(p, func(t *sim.Task, k func(struct{})) { q.CommitTxT(t, func() { k(struct{}{}) }) })
+}
+
+// RefreshT orders header snapshots by CQE.At, not by delivery: a snapshot
+// taken before the freshest one already absorbed is dropped, so the cached
+// counters never run backwards (and the monotonicity check stays quiet).
+func TestRefreshDropsStaleSnapshot(t *testing.T) {
+	r := newRig(t, false, 1<<16)
+	ck := check.New()
+	cfg := stdCfg()
+	cfg.Check = ck
+	q, _ := New(r.region, 0, cfg, r.qp)
+	q.rxHead = 8
+	header := func(rxConsumed, txSent uint64) []byte {
+		raw := make([]byte, 16)
+		putLeUint64(raw[hdrRxConsumed:], rxConsumed)
+		putLeUint64(raw[hdrTxSent:], txSent)
+		return raw
+	}
+	q.absorbHeader(header(5, 3), sim.Time(20))
+	q.absorbHeader(header(2, 1), sim.Time(10)) // retried READ, older snapshot
+	if rx, tx := q.Counters(); rx != 5 || tx != 3 {
+		t.Fatalf("counters after a stale snapshot = (%d, %d), want (5, 3)", rx, tx)
+	}
+	q.absorbHeader(header(6, 4), sim.Time(30))
+	if rx, tx := q.Counters(); rx != 6 || tx != 4 {
+		t.Fatalf("counters after a fresh snapshot = (%d, %d), want (6, 4)", rx, tx)
+	}
+	if rep := ck.Finalize(); !rep.OK() {
+		t.Fatalf("stale snapshot tripped the invariants:\n%s", rep)
+	}
 }

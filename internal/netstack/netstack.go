@@ -317,14 +317,6 @@ func (s *UDPSocket) RecvTimeout(p *sim.Proc, d time.Duration) (Datagram, bool, e
 	return dg, ok, nil
 }
 
-// RecvBatch receives up to len(buf) datagrams: it blocks for the first, then
-// drains whatever is already queued without blocking. Returns the count
-// stored (at least 1 for a non-empty buf). This is the dispatcher's batched
-// dequeue path: one wakeup per burst instead of one per packet.
-func (s *UDPSocket) RecvBatch(p *sim.Proc, buf []Datagram) int {
-	return s.rxq.GetBatch(p, buf)
-}
-
 // RecvT is Recv for tasks: reports (dg, true) when a datagram was already
 // queued (continuation NOT called — caller continues inline), else parks the
 // task and fn runs when one arrives.
@@ -332,8 +324,11 @@ func (s *UDPSocket) RecvT(t *sim.Task, fn func(Datagram)) (Datagram, bool) {
 	return s.rxq.GetT(t, fn)
 }
 
-// RecvBatchT is RecvBatch for tasks, with the same inline-return convention
-// as RecvT: (n, true) means n datagrams were stored inline.
+// RecvBatchT receives up to len(buf) datagrams for a task: it waits for the
+// first, then drains whatever is already queued without waiting — one wakeup
+// per burst instead of one per packet (the batched dispatcher's dequeue). It
+// follows RecvT's inline-return convention: (n, true) means n datagrams were
+// stored inline and fn never runs.
 func (s *UDPSocket) RecvBatchT(t *sim.Task, buf []Datagram, fn func(int)) (int, bool) {
 	return s.rxq.GetBatchT(t, buf, fn)
 }
@@ -408,19 +403,47 @@ func (h *Host) MustTCPListen(port uint16) *TCPListener {
 // side.
 func (l *TCPListener) Accept(p *sim.Proc) *TCPConn { return l.backlog.Get(p) }
 
+// AcceptT is Accept for tasks, with RecvT's inline-return convention: a
+// connection already in the backlog returns with true and fn never runs.
+func (l *TCPListener) AcceptT(t *sim.Task, fn func(*TCPConn)) (*TCPConn, bool) {
+	return l.backlog.GetT(t, fn)
+}
+
 // Close stops listening.
 func (l *TCPListener) Close() { delete(l.host.listeners, l.port) }
 
 // TCPDial establishes a connection to addr, blocking for the handshake
 // (SYN + SYN-ACK round trip).
 func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
+	client, established, err := h.dial(to)
+	if err == nil {
+		established.Get(p)
+	}
+	return client, err
+}
+
+// TCPDialT is TCPDial for tasks: an unroutable or refused address fails
+// inline; otherwise k runs with the client side once the handshake lands.
+func (h *Host) TCPDialT(t *sim.Task, to Addr, k func(*TCPConn)) error {
+	client, established, err := h.dial(to)
+	if err != nil {
+		return err
+	}
+	established.GetT(t, func(struct{}) { k(client) }) // parks: the handshake takes a round trip
+	return nil
+}
+
+// dial creates both ends of a connection to addr and launches the
+// handshake: the server side enters the listener's backlog when the SYN
+// lands, and established receives a value when the SYN-ACK is back.
+func (h *Host) dial(to Addr) (*TCPConn, *sim.Chan[struct{}], error) {
 	dst, ok := h.net.hosts[to.Host]
 	if !ok {
-		return nil, fmt.Errorf("netstack: no route to host %q", to.Host)
+		return nil, nil, fmt.Errorf("netstack: no route to host %q", to.Host)
 	}
 	l, ok := dst.listeners[to.Port]
 	if !ok {
-		return nil, fmt.Errorf("netstack: connection refused: %v", to)
+		return nil, nil, fmt.Errorf("netstack: connection refused: %v", to)
 	}
 	h.net.ephemeral++
 	local := Addr{Host: h.name, Port: h.net.ephemeral}
@@ -440,8 +463,7 @@ func (h *Host) TCPDial(p *sim.Proc, to Addr) (*TCPConn, error) {
 		})
 		l.backlog.TryPut(server)
 	})
-	established.Get(p)
-	return client, nil
+	return client, established, nil
 }
 
 // LocalAddr returns this side's address.
@@ -454,8 +476,8 @@ func (c *TCPConn) RemoteAddr() Addr { return c.remote }
 // ACK in the reverse direction, which is what makes TCP dearer on the wire
 // as well as on the CPU. Under a fault plan, a "lost" segment manifests as
 // retransmission delay — the reliable transport masks the loss, as real TCP
-// does.
-func (c *TCPConn) Send(p *sim.Proc, msg []byte) error {
+// does. Send never blocks: flow control is not modelled.
+func (c *TCPConn) Send(msg []byte) error {
 	if c.closed {
 		return ErrConnClosed
 	}
@@ -484,23 +506,58 @@ func (c *TCPConn) Recv(p *sim.Proc) ([]byte, error) {
 }
 
 // RecvQueued is Recv returning also the virtual time the message entered the
-// receive queue, for queue-wait attribution.
+// receive queue, for queue-wait attribution. While the queue is empty it
+// re-checks the connection state every recvPoll.
 func (c *TCPConn) RecvQueued(p *sim.Proc) ([]byte, sim.Time, error) {
 	for {
-		if msg, ok := c.rxq.TryGet(); ok {
-			return msg.b, msg.enq, nil
+		if m, done, err := c.take(); done {
+			return m.b, m.enq, err
 		}
-		if c.reset {
-			return nil, 0, ErrConnReset
-		}
-		if c.closed {
-			return nil, 0, ErrConnClosed
-		}
-		msg, ok := c.rxq.GetTimeout(p, 100*time.Microsecond)
-		if ok {
-			return msg.b, msg.enq, nil
+		if m, ok := c.rxq.GetTimeout(p, recvPoll); ok {
+			return m.b, m.enq, nil
 		}
 	}
+}
+
+// recvPoll is the state poll of a blocked TCP receive.
+const recvPoll = 100 * time.Microsecond
+
+// take returns the next queued message, or the error of a connection that is
+// down; done is false when the receiver has to wait.
+func (c *TCPConn) take() (m tcpMsg, done bool, err error) {
+	if m, ok := c.rxq.TryGet(); ok {
+		return m, true, nil
+	}
+	if c.reset {
+		return m, true, ErrConnReset
+	}
+	if c.closed {
+		return m, true, ErrConnClosed
+	}
+	return m, false, nil
+}
+
+// RecvQueuedT is RecvQueued for tasks: k runs with the message and its
+// receive-queue entry time, or with ErrConnReset/ErrConnClosed. It polls the
+// state exactly like RecvQueued, so the two burn the same scheduler slots. k
+// runs inline when a message is already queued or the connection is down.
+func (c *TCPConn) RecvQueuedT(t *sim.Task, k func(msg []byte, enq sim.Time, err error)) {
+	var poll func()
+	got := func(m tcpMsg, ok bool) {
+		if ok {
+			k(m.b, m.enq, nil)
+			return
+		}
+		poll()
+	}
+	poll = func() {
+		if m, done, err := c.take(); done {
+			k(m.b, m.enq, err)
+			return
+		}
+		c.rxq.GetTimeoutT(t, recvPoll, got) // parks: the queue is empty and recvPoll > 0
+	}
+	poll()
 }
 
 // RecvTimeout blocks up to d for the next message.
@@ -512,20 +569,11 @@ func (c *TCPConn) RecvTimeout(p *sim.Proc, d time.Duration) ([]byte, bool, error
 // RecvQueuedTimeout is RecvTimeout returning also the receive-queue entry
 // time of the message.
 func (c *TCPConn) RecvQueuedTimeout(p *sim.Proc, d time.Duration) ([]byte, sim.Time, bool, error) {
-	if msg, ok := c.rxq.TryGet(); ok {
-		return msg.b, msg.enq, true, nil
+	if m, done, err := c.take(); done {
+		return m.b, m.enq, err == nil, err
 	}
-	if c.reset {
-		return nil, 0, false, ErrConnReset
-	}
-	if c.closed {
-		return nil, 0, false, ErrConnClosed
-	}
-	msg, ok := c.rxq.GetTimeout(p, d)
-	if !ok {
-		return nil, 0, false, nil
-	}
-	return msg.b, msg.enq, true, nil
+	m, ok := c.rxq.GetTimeout(p, d)
+	return m.b, m.enq, ok, nil
 }
 
 // Close shuts the connection down gracefully on both ends (FIN exchange is

@@ -3,6 +3,8 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,7 +143,7 @@ func TestTCPConnectSendRecv(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := conn.Send(p, append([]byte("ok:"), msg...)); err != nil {
+			if err := conn.Send(append([]byte("ok:"), msg...)); err != nil {
 				return
 			}
 		}
@@ -156,7 +158,7 @@ func TestTCPConnectSendRecv(t *testing.T) {
 		if conn.RemoteAddr() != server.Addr(80) {
 			t.Errorf("remote %v", conn.RemoteAddr())
 		}
-		conn.Send(p, []byte("hello"))
+		conn.Send([]byte("hello"))
 		got, _ = conn.Recv(p)
 		conn.Close()
 	})
@@ -218,7 +220,7 @@ func TestTCPAbortReset(t *testing.T) {
 	s.Spawn("client", func(p *sim.Proc) {
 		conn, _ := client.TCPDial(p, server.Addr(80))
 		conn.Abort()
-		if err := conn.Send(p, []byte("x")); !errors.Is(err, ErrConnReset) {
+		if err := conn.Send([]byte("x")); !errors.Is(err, ErrConnReset) {
 			t.Errorf("send on reset conn: %v", err)
 		}
 	})
@@ -289,7 +291,7 @@ func TestTCPStreamIntegrityProperty(t *testing.T) {
 					msg[j] = byte(i + j)
 				}
 				sent = append(sent, msg)
-				conn.Send(p, msg)
+				conn.Send(msg)
 			}
 		})
 		s.RunUntil(sim.Time(10 * time.Second))
@@ -438,10 +440,156 @@ func TestTCPDoubleCloseIsIdempotent(t *testing.T) {
 		conn, _ := client.TCPDial(p, server.Addr(80))
 		conn.Close()
 		conn.Close() // no-op
-		if err := conn.Send(p, []byte("x")); err == nil {
+		if err := conn.Send([]byte("x")); err == nil {
 			t.Error("send after close must fail")
 		}
 	})
 	s.RunUntil(sim.Time(time.Second))
+	s.Shutdown()
+}
+
+// tcpExchangeTrace runs one connection through the TCP forms of one
+// substrate: the server accepts and echoes every message until its receive
+// fails; the client dials, sends three messages, reads each echo, and then
+// ends the connection with Close or Abort. Both ends run as Tasks when task
+// is set and as Procs otherwise. Each entry carries the virtual time and the
+// executed-event count, so any difference in scheduler slots shows.
+func tcpExchangeTrace(task, abort bool) []string {
+	s, n, _ := newNet()
+	server := n.AddHost("server")
+	client := n.AddHost("client")
+	l := server.MustTCPListen(80)
+	var trace []string
+	rec := func(who string, msg []byte, enq sim.Time, err error) {
+		trace = append(trace, fmt.Sprintf("%v #%d %s %q enq=%v err=%v", s.Now(), s.Executed(), who, msg, enq, err))
+	}
+	msg := func(i int) []byte { return []byte(fmt.Sprintf("m%d", i)) }
+	end := func(conn *TCPConn) {
+		if abort {
+			conn.Abort()
+		} else {
+			conn.Close()
+		}
+		rec("client ended", nil, 0, nil)
+	}
+	if !task {
+		s.Spawn("server", func(p *sim.Proc) {
+			conn := l.Accept(p)
+			rec("accepted", nil, 0, nil)
+			for {
+				m, enq, err := conn.RecvQueued(p)
+				rec("server got", m, enq, err)
+				if err != nil {
+					return
+				}
+				conn.Send(append([]byte("ok:"), m...))
+			}
+		})
+		s.Spawn("client", func(p *sim.Proc) {
+			conn, err := client.TCPDial(p, server.Addr(80))
+			rec("dialed", nil, 0, err)
+			for i := 0; i < 3; i++ {
+				conn.Send(msg(i))
+				m, enq, err := conn.RecvQueued(p)
+				rec("client got", m, enq, err)
+				p.Sleep(3 * time.Microsecond)
+			}
+			end(conn)
+		})
+	} else {
+		s.SpawnTask("server", func(t *sim.Task) {
+			var conn *TCPConn
+			var got func(m []byte, enq sim.Time, err error)
+			got = func(m []byte, enq sim.Time, err error) {
+				rec("server got", m, enq, err)
+				if err != nil {
+					return
+				}
+				conn.Send(append([]byte("ok:"), m...))
+				conn.RecvQueuedT(t, got)
+			}
+			accepted := func(c *TCPConn) {
+				conn = c
+				rec("accepted", nil, 0, nil)
+				conn.RecvQueuedT(t, got)
+			}
+			if c, ok := l.AcceptT(t, accepted); ok {
+				accepted(c)
+			}
+		})
+		s.SpawnTask("client", func(t *sim.Task) {
+			var conn *TCPConn
+			i := 0
+			var send func()
+			got := func(m []byte, enq sim.Time, err error) {
+				rec("client got", m, enq, err)
+				i++
+				t.Sleep(3*time.Microsecond, send)
+			}
+			send = func() {
+				if i == 3 {
+					end(conn)
+					return
+				}
+				conn.Send(msg(i))
+				conn.RecvQueuedT(t, got)
+			}
+			err := client.TCPDialT(t, server.Addr(80), func(c *TCPConn) {
+				conn = c
+				rec("dialed", nil, 0, nil)
+				send()
+			})
+			if err != nil {
+				rec("dialed", nil, 0, err)
+			}
+		})
+	}
+	s.RunUntil(sim.Time(time.Second))
+	s.Shutdown()
+	return trace
+}
+
+// The Task forms AcceptT, TCPDialT and RecvQueuedT burn the same scheduler
+// slots as Accept, TCPDial and RecvQueued: the same exchange records the same
+// trace on either substrate, through a graceful close and through a reset,
+// both of which the blocked receiver notices at its state poll.
+func TestTCPTaskFormsMatchProcForms(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		proc, task := tcpExchangeTrace(false, abort), tcpExchangeTrace(true, abort)
+		if strings.Join(proc, "\n") != strings.Join(task, "\n") {
+			t.Fatalf("abort=%v: Task trace diverges from the Proc trace:\nproc:\n%s\ntask:\n%s",
+				abort, strings.Join(proc, "\n"), strings.Join(task, "\n"))
+		}
+		want := ErrConnClosed
+		if abort {
+			want = ErrConnReset
+		}
+		last := proc[len(proc)-1]
+		if !strings.Contains(last, "server got") || !strings.Contains(last, want.Error()) {
+			t.Errorf("abort=%v: exchange ended with %q, want the server to see %v", abort, last, want)
+		}
+		if len(proc) != 10 {
+			t.Errorf("abort=%v: %d trace entries, want 10:\n%s", abort, len(proc), strings.Join(proc, "\n"))
+		}
+	}
+}
+
+// TCPDialT fails inline, without parking, on an unroutable host or a port
+// nobody listens on.
+func TestTCPDialTErrors(t *testing.T) {
+	s, n, _ := newNet()
+	client := n.AddHost("client")
+	n.AddHost("server")
+	s.SpawnTask("client", func(tk *sim.Task) {
+		for _, to := range []Addr{{Host: "ghost", Port: 1}, {Host: "server", Port: 1}} {
+			if err := client.TCPDialT(tk, to, func(*TCPConn) { t.Errorf("dial to %v connected", to) }); err == nil {
+				t.Errorf("dial to %v should fail", to)
+			}
+		}
+	})
+	s.RunUntil(sim.Time(time.Second))
+	if s.Live() != 0 {
+		t.Fatalf("a failed dial left %d live tasks", s.Live())
+	}
 	s.Shutdown()
 }

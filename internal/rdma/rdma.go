@@ -1,6 +1,6 @@
 // Package rdma models the one-sided RDMA machinery Lynx relies on: an RDMA
 // engine embedded in a NIC, queue pairs (reliable RC and unreliable UC),
-// work requests, and completion queues.
+// work requests, and their completions.
 //
 // Lynx uses one-sided RDMA READ/WRITE from the SmartNIC into accelerator
 // memory for all mqueue management (§4.2 "Remote Message Queue Manager"),
@@ -69,19 +69,21 @@ type WR struct {
 	// before its stamp. Never called for dropped UC writes.
 	OnDeliver func(at sim.Time)
 
-	// reply, when set by the blocking helpers, receives this WR's CQE
+	// reply, when set by the waiting helpers, receives this WR's CQE
 	// directly so concurrent posters never steal each other's completions.
+	// A WR without one is unsignaled: the transfer happens but its CQE is
+	// surfaced nowhere. PostAndWaitT signals only every cqDrain-th WR, so a
+	// batch of n writes generates ceil(n/cqDrain) completions, matching how
+	// verbs applications suppress per-WQE signaling under doorbell batching.
 	reply *sim.Chan[CQE]
-
-	// silent marks an unsignaled WQE: the transfer happens but no CQE is
-	// surfaced anywhere. PostAndWaitT sets it on non-checkpoint WRs so a
-	// batch of n writes generates ceil(n/cqDrain) completions, matching
-	// how verbs applications suppress per-WQE signaling under doorbell
-	// batching.
-	silent bool
 }
 
-// CQE is a completion queue entry.
+// CQE is a completion queue entry. At is the instant the WR completed on the
+// wire — for a READ, the instant its memory snapshot was taken. Under
+// transport retries (fault plan go-back-N) completions are delivered in
+// posting order while snapshots land in wire order, so a caller comparing
+// successive reads of shared counters must order them by At, not by
+// delivery.
 type CQE struct {
 	ID      uint64
 	Op      OpCode
@@ -142,7 +144,6 @@ type QP struct {
 
 	hw       bool
 	sq       *sim.Chan[WR]
-	cq       *sim.Chan[CQE]
 	cur      WR // WR between dequeue and engine stage of the run task
 	inflight []*inflightWR
 	inflHead int
@@ -167,15 +168,15 @@ type QPConfig struct {
 	// SQDepth bounds the send queue (0 = unbounded).
 	SQDepth int
 	// HWIssue marks the QP as driven by NIC-resident hardware (the Innova
-	// AFU): posting costs no CPU time, WRITE completions are discarded,
-	// and writes are fully pipelined (posted semantics — the engine only
-	// pays its per-WQE processing time; wire transit overlaps).
+	// AFU): posting costs no CPU time, and writes are fully pipelined
+	// (posted semantics — the engine only pays its per-WQE processing time;
+	// wire transit overlaps).
 	HWIssue bool
 }
 
 // CreateQP connects a queue pair from the engine's NIC to the target device.
 // The returned QP processes work requests in order on a dedicated engine
-// context; completions appear on CQ in posting order.
+// context; completions are delivered in posting order.
 func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 	if target.Mem == nil {
 		panic(fmt.Sprintf("rdma: target %s has no DMA-visible memory", target.Name()))
@@ -189,7 +190,6 @@ func (e *Engine) CreateQP(target *fabric.Device, cfg QPConfig) *QP {
 		target: target,
 		hw:     cfg.HWIssue,
 		sq:     sim.NewChan[WR](e.sim, cfg.SQDepth),
-		cq:     sim.NewChan[CQE](e.sim, 0),
 	}
 	if cfg.Remote {
 		qp.remote = e.params.RDMARemotePenalty
@@ -244,7 +244,7 @@ func (fl *inflightWR) wireDone() {
 }
 
 // getReply takes a reply channel from the QP's pool. Reply channels only ever
-// hold buffered completions (TryPut by finish, Get/GetT by the poster), so an
+// hold buffered completions (TryPut by finish, GetT by the poster), so an
 // unbounded recycled channel behaves identically to a fresh exact-capacity
 // one.
 func (qp *QP) getReply() *sim.Chan[CQE] {
@@ -351,15 +351,8 @@ func (qp *QP) finish(fl *inflightWR) {
 		qp.inflight[qp.inflHead] = nil
 		qp.inflHead++
 		qp.complete++
-		switch {
-		case head.wr.reply != nil:
+		if head.wr.reply != nil {
 			head.wr.reply.TryPut(head.cqe)
-		case head.wr.silent:
-			// Unsignaled WQE: completed, but surfaces no CQE.
-		case qp.hw && head.wr.Op == OpWrite && !head.cqe.Dropped:
-			// Hardware QPs discard write completions.
-		default:
-			qp.cq.TryPut(head.cqe)
 		}
 		// The CQE escaped by value; drop the node's references and recycle.
 		head.wr = WR{}
@@ -380,78 +373,14 @@ func (qp *QP) finish(fl *inflightWR) {
 	}
 }
 
-// Post enqueues a work request asynchronously, charging the caller the
-// CPU-side issue cost ("less than 1 µsec", §5.1) unless the QP is hardware
-// driven. Completion arrives on CQ (hardware QPs discard write CQEs).
-func (qp *QP) Post(p *sim.Proc, wr WR) {
-	if !qp.hw {
-		p.Sleep(qp.engine.params.RDMAIssue)
-	}
-	qp.posted++
-	qp.sq.Put(p, wr)
-}
-
-// CQ returns the completion queue. Callers typically Get in a loop or after
-// a batch of Posts.
-func (qp *QP) CQ() *sim.Chan[CQE] { return qp.cq }
-
-// Write performs a blocking one-sided RDMA WRITE.
-func (qp *QP) Write(p *sim.Proc, region *memdev.Region, off int, data []byte) CQE {
-	return qp.WriteNotify(p, region, off, data, nil)
-}
-
-// WriteNotify performs a blocking one-sided RDMA WRITE like Write,
-// additionally invoking onDeliver (when non-nil) at the simulated instant
-// the data lands in the target region, before the completion returns.
-func (qp *QP) WriteNotify(p *sim.Proc, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time)) CQE {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver, reply: reply})
-	cqe := reply.Get(p)
-	qp.putReply(reply)
-	return cqe
-}
-
-// Read performs a blocking one-sided RDMA READ of n bytes.
-func (qp *QP) Read(p *sim.Proc, region *memdev.Region, off, n int) []byte {
-	return qp.ReadCQE(p, region, off, n).Data
-}
-
-// ReadCQE performs a blocking one-sided RDMA READ like Read but returns the
-// full completion. CQE.At is the wire instant the memory snapshot was taken
-// at — under transport retries (fault plan go-back-N) completions are
-// delivered in posting order while snapshots land in wire order, so a caller
-// comparing successive reads of shared counters must order them by At, not by
-// delivery.
-func (qp *QP) ReadCQE(p *sim.Proc, region *memdev.Region, off, n int) CQE {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpRead, Region: region, Offset: off, Len: n, reply: reply})
-	cqe := reply.Get(p)
-	qp.putReply(reply)
-	return cqe
-}
-
-// Barrier performs the blocking RDMA-read write barrier of §5.1, forcing
-// earlier writes to the region to become visible before returning. Its cost
-// is a full read round trip (issue + engine + PCIe RTT, ~2.5 µs); together
-// with the separate doorbell write it forces (coalescing is impossible, so a
-// message needs three transactions instead of one) the total overhead comes
-// to the ~5 µs per message the paper measures.
-func (qp *QP) Barrier(p *sim.Proc, region *memdev.Region) {
-	reply := qp.getReply()
-	qp.Post(p, WR{Op: OpBarrier, Region: region, reply: reply})
-	reply.Get(p)
-	qp.putReply(reply)
-}
-
 // ---------------------------------------------------------------------------
-// Task-form (continuation-passing) posting API. Each method that has a Proc
-// counterpart performs the exact same sequence of scheduler operations as
-// it, so a caller ported from one substrate to the other produces
-// byte-identical virtual-time results. The batched posts (PostManyT,
-// PostAndWaitT) exist only in this form.
+// Posting API. Every initiator runs on the run-to-completion task substrate,
+// so each call takes the posting task and a continuation.
 
-// PostT is Post for run-to-completion tasks: k runs once the WR has entered
-// the send queue (after the CPU-side issue cost, unless hardware driven).
+// PostT enqueues a work request, charging the posting task the CPU-side
+// issue cost ("less than 1 µsec", §5.1) unless the QP is hardware driven; k
+// runs once the WR has entered the send queue. Without a reply channel the
+// WR is unsignaled: its completion surfaces nowhere.
 func (qp *QP) PostT(t *sim.Task, wr WR, k func()) {
 	if qp.hw {
 		qp.posted++
@@ -472,7 +401,7 @@ func (qp *QP) PostT(t *sim.Task, wr WR, k func()) {
 // (multi-WQE posting): the CPU pays one issue cost for the whole group
 // instead of one per WQE, then the WRs enter the send queue in order; k runs
 // when all are enqueued. Hardware-driven QPs skip the issue cost entirely,
-// as with Post. The engine-side pipeline cost and wire time remain per-WR —
+// as with PostT. The engine-side pipeline cost and wire time remain per-WR —
 // doorbell coalescing amortizes only the CPU touch, as on real verbs.
 func (qp *QP) PostManyT(t *sim.Task, wrs []WR, k func()) {
 	if len(wrs) == 0 {
@@ -527,8 +456,6 @@ func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(
 		if (i+1)%cqDrain == 0 || i == n-1 {
 			wrs[i].reply = reply
 			checkpoints++
-		} else {
-			wrs[i].silent = true
 		}
 	}
 	var postGroup func(off int)
@@ -560,60 +487,53 @@ func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(
 	postGroup(0)
 }
 
-// WriteT performs a one-sided RDMA WRITE from a task; k runs with the CQE.
+// postWaitT posts wr with a pooled reply channel; k runs with its
+// completion.
+func (qp *QP) postWaitT(t *sim.Task, wr WR, k func(CQE)) {
+	reply := qp.getReply()
+	wr.reply = reply
+	qp.PostT(t, wr, func() {
+		if cqe, ok := reply.GetT(t, func(c CQE) {
+			qp.putReply(reply)
+			k(c)
+		}); ok {
+			qp.putReply(reply)
+			k(cqe)
+		}
+	})
+}
+
+// WriteT performs a one-sided RDMA WRITE; k runs with the completion.
 func (qp *QP) WriteT(t *sim.Task, region *memdev.Region, off int, data []byte, k func(CQE)) {
 	qp.WriteNotifyT(t, region, off, data, nil, k)
 }
 
-// WriteNotifyT is WriteNotify for tasks: onDeliver (when non-nil) fires at
-// the instant the data lands; k runs with the completion.
+// WriteNotifyT is WriteT that additionally invokes onDeliver (when non-nil)
+// at the simulated instant the data lands in the target region, before the
+// completion returns.
 func (qp *QP) WriteNotifyT(t *sim.Task, region *memdev.Region, off int, data []byte, onDeliver func(at sim.Time), k func(CQE)) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver, reply: reply}, func() {
-		if cqe, ok := reply.GetT(t, func(c CQE) {
-			qp.putReply(reply)
-			k(c)
-		}); ok {
-			qp.putReply(reply)
-			k(cqe)
-		}
-	})
+	qp.postWaitT(t, WR{Op: OpWrite, Region: region, Offset: off, Data: data, OnDeliver: onDeliver}, k)
 }
 
-// ReadT performs a one-sided RDMA READ of n bytes from a task; k runs with
-// the read bytes.
+// ReadT performs a one-sided RDMA READ of n bytes; k runs with the bytes.
 func (qp *QP) ReadT(t *sim.Task, region *memdev.Region, off, n int, k func([]byte)) {
 	qp.ReadCQET(t, region, off, n, func(cqe CQE) { k(cqe.Data) })
 }
 
-// ReadCQET is ReadCQE for tasks: k runs with the full completion, whose At
-// field carries the snapshot instant (see ReadCQE).
+// ReadCQET is ReadT with the full completion, whose At field orders
+// snapshots of shared counters under retries (see CQE).
 func (qp *QP) ReadCQET(t *sim.Task, region *memdev.Region, off, n int, k func(CQE)) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpRead, Region: region, Offset: off, Len: n, reply: reply}, func() {
-		if cqe, ok := reply.GetT(t, func(c CQE) {
-			qp.putReply(reply)
-			k(c)
-		}); ok {
-			qp.putReply(reply)
-			k(cqe)
-		}
-	})
+	qp.postWaitT(t, WR{Op: OpRead, Region: region, Offset: off, Len: n}, k)
 }
 
-// BarrierT is Barrier for tasks: k runs once earlier writes to the region
-// are forced visible.
+// BarrierT performs the RDMA-read write barrier of §5.1: k runs once earlier
+// writes to the region are forced visible. Its cost is a full read round
+// trip (issue + engine + PCIe RTT, ~2.5 µs); together with the separate
+// doorbell write it forces (coalescing is impossible, so a message needs
+// three transactions instead of one) the total overhead comes to the ~5 µs
+// per message the paper measures.
 func (qp *QP) BarrierT(t *sim.Task, region *memdev.Region, k func()) {
-	reply := qp.getReply()
-	qp.PostT(t, WR{Op: OpBarrier, Region: region, reply: reply}, func() {
-		if _, ok := reply.GetT(t, func(CQE) {
-			qp.putReply(reply)
-			k()
-		}); ok {
-			qp.putReply(reply)
-			k()
-		}
-	})
+	qp.postWaitT(t, WR{Op: OpBarrier, Region: region}, func(CQE) { k() })
 }
 
 // AddCredits provisions n UC receive credits (the NICA helper thread's ring

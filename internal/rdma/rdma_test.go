@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lynx/internal/fabric"
+	"lynx/internal/fault"
 	"lynx/internal/memdev"
 	"lynx/internal/model"
 	"lynx/internal/sim"
@@ -40,11 +41,14 @@ func TestWriteRead(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		qp.Write(p, region, 64, []byte("lynx"))
-		if got := qp.Read(p, region, 64, 4); string(got) != "lynx" {
-			t.Errorf("read back %q", got)
-		}
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		qp.WriteT(tk, region, 64, []byte("lynx"), func(CQE) {
+			qp.ReadT(tk, region, 64, 4, func(got []byte) {
+				if string(got) != "lynx" {
+					t.Errorf("read back %q", got)
+				}
+			})
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -76,10 +80,9 @@ func TestWriteLatencyNearRDMAIssuePlusPCIe(t *testing.T) {
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	var lat time.Duration
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		start := p.Now()
-		qp.Write(p, region, 0, make([]byte, 64))
-		lat = p.Now().Sub(start)
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		start := tk.Now()
+		qp.WriteT(tk, region, 0, make([]byte, 64), func(CQE) { lat = tk.Now().Sub(start) })
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -102,13 +105,13 @@ func TestRemoteQPPenalty(t *testing.T) {
 		t.Fatal("Remote flags wrong")
 	}
 	var localLat, remoteLat time.Duration
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		start := p.Now()
-		local.Write(p, region, 0, make([]byte, 64))
-		localLat = p.Now().Sub(start)
-		start = p.Now()
-		remote.Write(p, region, 0, make([]byte, 64))
-		remoteLat = p.Now().Sub(start)
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		start := tk.Now()
+		local.WriteT(tk, region, 0, make([]byte, 64), func(CQE) {
+			localLat = tk.Now().Sub(start)
+			start = tk.Now()
+			remote.WriteT(tk, region, 0, make([]byte, 64), func(CQE) { remoteLat = tk.Now().Sub(start) })
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -126,15 +129,25 @@ func TestUCCreditsAndDrops(t *testing.T) {
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: UC})
 	qp.AddCredits(2)
 	var results []bool
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			cqe := qp.Write(p, region, i*8, []byte{byte(i + 1)})
-			results = append(results, cqe.Dropped)
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		var write func(i int)
+		write = func(i int) {
+			if i == 4 {
+				return
+			}
+			qp.WriteT(tk, region, i*8, []byte{byte(i + 1)}, func(cqe CQE) {
+				results = append(results, cqe.Dropped)
+				write(i + 1)
+			})
 		}
+		write(0)
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
 	want := []bool{false, false, true, true}
+	if len(results) != len(want) {
+		t.Fatalf("drop pattern %v, want %v", results, want)
+	}
 	for i := range want {
 		if results[i] != want[i] {
 			t.Fatalf("drop pattern %v, want %v", results, want)
@@ -168,14 +181,16 @@ func TestBarrierFlushesRelaxedWrites(t *testing.T) {
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	var barLat time.Duration
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		qp.Write(p, region, 0, []byte("payload!"))
-		start := p.Now()
-		qp.Barrier(p, region)
-		barLat = p.Now().Sub(start)
-		if got := region.ReadLocal(0, 8); string(got) != "payload!" {
-			t.Errorf("payload invisible after barrier: %q", got)
-		}
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		qp.WriteT(tk, region, 0, []byte("payload!"), func(CQE) {
+			start := tk.Now()
+			qp.BarrierT(tk, region, func() {
+				barLat = tk.Now().Sub(start)
+				if got := region.ReadLocal(0, 8); string(got) != "payload!" {
+					t.Errorf("payload invisible after barrier: %q", got)
+				}
+			})
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -200,23 +215,36 @@ func TestRCOrderedCompletionProperty(t *testing.T) {
 		r := newRig(false)
 		region := r.gpu.Mem.MustAlloc("ring", 65536)
 		qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
+		// Every WR signals into one shared channel, so the channel's order
+		// is the QP's completion order.
+		cq := sim.NewChan[CQE](r.s, 0)
 		okCh := make(chan bool, 1)
-		r.s.Spawn("snic", func(p *sim.Proc) {
-			for i, isWrite := range ops {
-				if isWrite {
-					qp.Post(p, WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i)})
-				} else {
-					qp.Post(p, WR{Op: OpRead, Region: region, Offset: i * 8, Len: 1, ID: uint64(i)})
+		r.s.SpawnTask("snic", func(tk *sim.Task) {
+			var post func(i int)
+			var collect func(i int, good bool)
+			post = func(i int) {
+				if i == len(ops) {
+					collect(0, true)
+					return
 				}
-			}
-			good := true
-			for i := range ops {
-				cqe := qp.CQ().Get(p)
-				if cqe.ID != uint64(i) {
-					good = false
+				wr := WR{Op: OpRead, Region: region, Offset: i * 8, Len: 1, ID: uint64(i), reply: cq}
+				if ops[i] {
+					wr = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(i), reply: cq}
 				}
+				qp.PostT(tk, wr, func() { post(i + 1) })
 			}
-			okCh <- good
+			collect = func(i int, good bool) {
+				for ; i < len(ops); i++ {
+					i := i
+					cqe, ok := cq.GetT(tk, func(c CQE) { collect(i+1, good && c.ID == uint64(i)) })
+					if !ok {
+						return
+					}
+					good = good && cqe.ID == uint64(i)
+				}
+				okCh <- good
+			}
+			post(0)
 		})
 		r.s.RunUntil(sim.Time(time.Second))
 		r.s.Shutdown()
@@ -239,13 +267,11 @@ func TestEnginePipelineSharedAcrossQPs(t *testing.T) {
 	qpA := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	qpB := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	var aDone, bDone sim.Time
-	r.s.Spawn("a", func(p *sim.Proc) {
-		qpA.Write(p, regionA, 0, make([]byte, 4096))
-		aDone = p.Now()
+	r.s.SpawnTask("a", func(tk *sim.Task) {
+		qpA.WriteT(tk, regionA, 0, make([]byte, 4096), func(CQE) { aDone = tk.Now() })
 	})
-	r.s.Spawn("b", func(p *sim.Proc) {
-		qpB.Write(p, regionB, 0, make([]byte, 4096))
-		bDone = p.Now()
+	r.s.SpawnTask("b", func(tk *sim.Task) {
+		qpB.WriteT(tk, regionB, 0, make([]byte, 4096), func(CQE) { bDone = tk.Now() })
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
@@ -268,28 +294,36 @@ func TestReadBackMatchesWrite(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	r.s.Spawn("snic", func(p *sim.Proc) {
-		qp.Write(p, region, 512, payload)
-		got := qp.Read(p, region, 512, len(payload))
-		if !bytes.Equal(got, payload) {
-			t.Error("payload mismatch after RDMA round trip")
-		}
+	done := false
+	r.s.SpawnTask("snic", func(tk *sim.Task) {
+		qp.WriteT(tk, region, 512, payload, func(CQE) {
+			qp.ReadT(tk, region, 512, len(payload), func(got []byte) {
+				done = true
+				if !bytes.Equal(got, payload) {
+					t.Error("payload mismatch after RDMA round trip")
+				}
+			})
+		})
 	})
 	r.s.RunUntil(sim.Time(time.Second))
 	r.s.Shutdown()
+	if !done {
+		t.Fatal("read never completed")
+	}
 }
 
 // PostManyT: a burst posted under one doorbell costs one issue charge and
-// completes in posting order on the RC CQ.
+// completes in posting order.
 func TestPostManyTOrdering(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
 	qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
 	const n = 12
+	cq := sim.NewChan[CQE](r.s, 0)
 	r.s.SpawnTask("snic", func(tk *sim.Task) {
 		wrs := make([]WR, n)
 		for i := range wrs {
-			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(100 + i)}
+			wrs[i] = WR{Op: OpWrite, Region: region, Offset: i * 8, Data: []byte{byte(i)}, ID: uint64(100 + i), reply: cq}
 		}
 		issueStart := tk.Now()
 		qp.PostManyT(tk, wrs, func() {
@@ -298,7 +332,7 @@ func TestPostManyTOrdering(t *testing.T) {
 			}
 			tk.Sleep(time.Millisecond, func() { // let every completion land
 				for i := 0; i < n; i++ {
-					cqe, ok := qp.CQ().TryGet()
+					cqe, ok := cq.TryGet()
 					if !ok {
 						t.Fatalf("only %d of %d completions surfaced", i, n)
 					}
@@ -306,8 +340,8 @@ func TestPostManyTOrdering(t *testing.T) {
 						t.Fatalf("completion %d has ID %d, want %d (posting order)", i, cqe.ID, 100+i)
 					}
 				}
-				if left := qp.CQ().Len(); left != 0 {
-					t.Errorf("CQ holds %d completions after draining all %d", left, n)
+				if left := cq.Len(); left != 0 {
+					t.Errorf("%d completions left after draining all %d", left, n)
 				}
 			})
 		})
@@ -320,8 +354,9 @@ func TestPostManyTOrdering(t *testing.T) {
 }
 
 // PostAndWaitT suppresses signaling on non-checkpoint WQEs: a batch of n
-// writes surfaces only its checkpoint completions to the poster and leaks
-// nothing into the shared CQ.
+// writes surfaces only its checkpoint completions to the poster, and its
+// reply channel returns to the QP's pool drained — no CQE of an unsignaled
+// WQE lingers in it.
 func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 	r := newRig(false)
 	region := r.gpu.Mem.MustAlloc("ring", 4096)
@@ -344,8 +379,14 @@ func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 					t.Errorf("slot %d holds %d after checkpoint completion", i, got[0])
 				}
 			}
-			if cqe, leaked := qp.CQ().TryGet(); leaked {
-				t.Errorf("unsignaled WQE leaked a CQE into the shared CQ: %+v", cqe)
+			signaled := 0
+			for _, wr := range wrs {
+				if wr.reply != nil {
+					signaled++
+				}
+			}
+			if signaled != 3 {
+				t.Errorf("%d of %d WQEs signaled, want ceil(10/4) = 3", signaled, n)
 			}
 		})
 	})
@@ -356,5 +397,49 @@ func TestPostAndWaitUnsignaledNoCQLeak(t *testing.T) {
 	}
 	if posted, completed := qp.Stats(); posted != n || completed != n {
 		t.Fatalf("posted=%d completed=%d, want %d each", posted, completed, n)
+	}
+	if len(qp.replyFree) != 1 || qp.replyFree[0].Len() != 0 {
+		t.Fatalf("reply pool after the batch: %d channels, want 1 drained", len(qp.replyFree))
+	}
+}
+
+// Under transport retries completions are delivered in posting order while
+// READ snapshots land in wire order: a retried READ completes after a later
+// READ that was not retried, and CQE.At says so even though its completion
+// is delivered first.
+func TestReadCQETAtIsWireOrderUnderRetries(t *testing.T) {
+	seen := false
+	for seed := uint64(1); seed <= 64 && !seen; seed++ {
+		r := newRig(false)
+		r.eng.SetFaults(fault.NewPlan(fault.Config{Seed: seed, RDMAErrRate: 0.5}))
+		region := r.gpu.Mem.MustAlloc("hdr", 64)
+		qp := r.eng.CreateQP(r.gpu, QPConfig{Kind: RC})
+		var got []CQE
+		var deliveredAt []sim.Time
+		for _, name := range []string{"first", "second"} {
+			r.s.SpawnTask(name, func(tk *sim.Task) {
+				qp.ReadCQET(tk, region, 0, 8, func(c CQE) {
+					got = append(got, c)
+					deliveredAt = append(deliveredAt, tk.Now())
+				})
+			})
+		}
+		r.s.RunUntil(sim.Time(time.Second))
+		r.s.Shutdown()
+		if len(got) != 2 {
+			t.Fatalf("seed %d: %d completions, want 2", seed, len(got))
+		}
+		if deliveredAt[0] > deliveredAt[1] {
+			t.Fatalf("seed %d: completions delivered out of posting order", seed)
+		}
+		if got[0].Retried && !got[1].Retried {
+			seen = true
+			if got[0].At <= got[1].At {
+				t.Errorf("seed %d: retried READ snapshot at %v, not after the later READ's %v", seed, got[0].At, got[1].At)
+			}
+		}
+	}
+	if !seen {
+		t.Fatal("no seed retried the first READ but not the second")
 	}
 }

@@ -55,7 +55,7 @@ func TestPendingCountsImmediateQueue(t *testing.T) {
 }
 
 // GetBatch blocks only for the first value and drains the rest of the run
-// without blocking; PutBatch delivers every value in order.
+// without blocking; a same-instant burst of Puts arrives in order.
 func TestChanBatchOps(t *testing.T) {
 	s := New(Config{Seed: 1})
 	ch := NewChan[int](s, 8)
@@ -69,9 +69,13 @@ func TestChanBatchOps(t *testing.T) {
 	})
 	s.Spawn("producer", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		ch.PutBatch(p, []int{10, 11, 12})
+		for _, v := range []int{10, 11, 12} {
+			ch.Put(p, v)
+		}
 		p.Sleep(time.Microsecond)
-		ch.PutBatch(p, []int{20, 21})
+		for _, v := range []int{20, 21} {
+			ch.Put(p, v)
+		}
 	})
 	s.RunUntil(Time(time.Millisecond))
 	s.Shutdown()

@@ -449,9 +449,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Yield gives other events scheduled at the current instant a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Kill marks p so that its next blocking operation unwinds the process.
 // Killing an exited process is a no-op.
 func (p *Proc) Kill() { p.killed = true }
@@ -731,15 +728,6 @@ func (c *Chan[T]) GetBatch(p *Proc, buf []T) int {
 	return n
 }
 
-// PutBatch enqueues every value in order, blocking as capacity requires.
-// With the same-instant scheduler fast path, a batch put into a drained
-// queue wakes the consumer once and buffers the rest.
-func (c *Chan[T]) PutBatch(p *Proc, vals []T) {
-	for _, v := range vals {
-		c.Put(p, v)
-	}
-}
-
 // TryGet dequeues without blocking, reporting whether a value was available.
 func (c *Chan[T]) TryGet() (T, bool) {
 	if c.Len() == 0 {
@@ -825,15 +813,6 @@ func (r *Resource) Acquire(p *Proc) {
 	p.block()
 }
 
-// TryAcquire takes one unit if immediately available.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.total {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit, waking the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.wHead < len(r.waiters) {
@@ -882,37 +861,6 @@ func (r *Resource) With(p *Proc, exec time.Duration, fn func()) {
 		fn()
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Signals
-
-// Signal is a broadcast edge-trigger: Wait blocks until the next Fire.
-type Signal struct {
-	sim     *Sim
-	waiters []*Proc
-}
-
-// NewSignal creates a signal bound to s.
-func NewSignal(s *Sim) *Signal { return &Signal{sim: s} }
-
-// Wait blocks the calling process until the next Fire.
-func (sg *Signal) Wait(p *Proc) {
-	sg.waiters = append(sg.waiters, p)
-	p.block()
-}
-
-// Fire wakes every currently blocked waiter at the current instant.
-func (sg *Signal) Fire() {
-	ws := sg.waiters
-	for i, w := range ws {
-		sg.sim.atStep(sg.sim.now, w)
-		ws[i] = nil
-	}
-	sg.waiters = ws[:0] // keep the backing array for the next round of waiters
-}
-
-// Waiting reports the number of processes blocked on the signal.
-func (sg *Signal) Waiting() int { return len(sg.waiters) }
 
 // RunUntilCond advances the simulation in check-sized increments until cond
 // becomes true or limit is reached. It lets tests and experiments stop as

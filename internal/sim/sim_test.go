@@ -255,33 +255,13 @@ func TestResourceParallelism(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	s := New(Config{})
-	sg := NewSignal(s)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		s.Spawn("waiter", func(p *Proc) {
-			sg.Wait(p)
-			woken++
-		})
-	}
-	s.Spawn("firer", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		sg.Fire()
-	})
-	s.Run()
-	if woken != 5 {
-		t.Fatalf("woke %d of 5", woken)
-	}
-}
-
 func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	s := New(Config{})
 	ch := NewChan[int](s, 0)
 	r := NewResource(s, 1)
 	s.Spawn("chan-blocked", func(p *Proc) { ch.Get(p) })
 	s.Spawn("holder", func(p *Proc) { r.Acquire(p); p.Sleep(time.Hour) })
-	s.Spawn("res-blocked", func(p *Proc) { p.Yield(); r.Acquire(p) })
+	s.Spawn("res-blocked", func(p *Proc) { p.Sleep(0); r.Acquire(p) })
 	s.Spawn("timer-blocked", func(p *Proc) { p.Sleep(time.Hour) })
 	s.RunUntil(Time(time.Millisecond))
 	if s.Live() != 4 {
@@ -602,22 +582,14 @@ func TestChanPutUnblocksBufferedWaiter(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquireAndCounters(t *testing.T) {
+func TestResourceCounters(t *testing.T) {
 	s := New(Config{})
 	r := NewResource(s, 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource")
-	}
-	if r.InUse() != 1 || r.Waiting() != 0 {
-		t.Fatalf("inuse=%d waiting=%d", r.InUse(), r.Waiting())
-	}
+	s.Spawn("holder", func(p *Proc) { r.Acquire(p) })
 	s.Spawn("waiter", func(p *Proc) { r.Acquire(p); r.Release() })
 	s.RunUntil(Time(time.Microsecond))
-	if r.Waiting() != 1 {
-		t.Fatalf("waiting = %d", r.Waiting())
+	if r.InUse() != 1 || r.Waiting() != 1 {
+		t.Fatalf("inuse=%d waiting=%d", r.InUse(), r.Waiting())
 	}
 	r.Release()
 	s.Run()
@@ -640,18 +612,6 @@ func TestResourceTryAcquireAndCounters(t *testing.T) {
 		}()
 		NewResource(s, 0)
 	}()
-}
-
-func TestSignalWaitingCount(t *testing.T) {
-	s := New(Config{})
-	sg := NewSignal(s)
-	s.Spawn("w", func(p *Proc) { sg.Wait(p) })
-	s.RunUntil(Time(time.Microsecond))
-	if sg.Waiting() != 1 {
-		t.Fatalf("waiting = %d", sg.Waiting())
-	}
-	sg.Fire()
-	s.Run()
 }
 
 func TestRunUntilCond(t *testing.T) {

@@ -132,9 +132,6 @@ func (t *Task) Sleep(d time.Duration, k func()) {
 	t.sim.atFn(t.sim.now.Add(d), t.runEv)
 }
 
-// Yield arms k to run after other events at the current instant.
-func (t *Task) Yield(k func()) { t.Sleep(0, k) }
-
 // OnKill registers fn to run when the task is killed while parked — the
 // task-substrate analogue of a Proc's deferred cleanup unwinding on Kill.
 func (t *Task) OnKill(fn func()) { t.onKill = fn }
@@ -211,6 +208,41 @@ func (c *Chan[T]) GetT(t *Task, fn func(v T)) (T, bool) {
 	t.park(c, nil)
 	var zero T
 	return zero, false
+}
+
+// GetTimeoutT is GetTimeout for tasks. When it returns inline=true, k never
+// runs and (v, ok) is the result: a buffered value (ok=true), or an
+// immediate timeout because d <= 0 (ok=false). Otherwise t parks and k runs
+// with the value from the putter's hand-off event, or with ok=false from the
+// timeout event. Scheduler slots match GetTimeout exactly: one for the
+// timeout event, one for a hand-off wake, none for the timeout's resume.
+func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v T, ok, inline bool) {
+	if v, ok := c.TryGet(); ok {
+		return v, true, true
+	}
+	if d <= 0 {
+		return v, false, true
+	}
+	w := c.getTaskWaiter(t)
+	w.kv = func(v T) { k(v, true) }
+	gen := w.gen
+	c.getters.push(w)
+	t.park(c, nil)
+	c.sim.At(c.sim.now.Add(d), func() {
+		// A hand-off recycles the node (bumping gen) when its wake runs and
+		// marks it ok as soon as it is delivered, so either one makes this
+		// timeout stale — the same guard as the Proc variant.
+		if w.gen != gen || w.ok {
+			return
+		}
+		c.getters.remove(w)
+		c.putWaiter(w)
+		t.parkedOn = nil
+		var zero T
+		k(zero, false)
+		t.maybeFinish()
+	})
+	return v, false, false
 }
 
 // GetBatchT is GetBatch for tasks: inline when a value is immediately

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -330,6 +332,129 @@ func TestTaskDeterminism(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := run(); !equalStrings(got, first) {
 			t.Fatalf("nondeterministic mixed-substrate trace:\n%v\nvs\n%v", first, got)
+		}
+	}
+}
+
+// getTimeoutTrace runs one consumer through hand-offs, a timeout, a stale
+// timeout that outlives its recycled waiter node, a same-instant race between
+// a put and a deadline, and the two inline cases (a buffered value, and
+// d <= 0 on an empty channel). The consumer runs on the Task substrate when
+// task is set and on a Proc otherwise; the producer is always a Proc. Each
+// trace entry carries the virtual time and the executed-event count.
+func getTimeoutTrace(task bool) []string {
+	s := New(Config{})
+	ch := NewChan[int](s, 0)
+	var trace []string
+	rec := func(who string, v int, ok bool) {
+		trace = append(trace, fmt.Sprintf("%v #%d %s %d %v", s.Now(), s.Executed(), who, v, ok))
+	}
+	type step struct{ sleep, d time.Duration }
+	us := time.Microsecond
+	steps := []step{{d: 5 * us}, {d: 5 * us}, {d: 3 * us}, {d: 10 * us}, {d: 2 * us}, {sleep: 7 * us}, {}}
+	s.Spawn("producer", func(p *Proc) {
+		for i, at := range []Time{Time(2 * us), Time(8 * us), Time(12 * us), Time(14 * us), Time(20 * us)} {
+			p.Sleep(at.Sub(p.Now()))
+			ch.Put(p, i+1)
+			rec("put", i+1, true)
+		}
+	})
+	if !task {
+		s.Spawn("consumer", func(p *Proc) {
+			for _, st := range steps {
+				p.Sleep(st.sleep)
+				v, ok := ch.GetTimeout(p, st.d)
+				rec("get", v, ok)
+			}
+		})
+	} else {
+		s.SpawnTask("consumer", func(tk *Task) {
+			i := 0
+			var next func()
+			got := func(v int, ok bool) {
+				rec("get", v, ok)
+				i++
+				next()
+			}
+			get := func() {
+				if v, ok, inline := ch.GetTimeoutT(tk, steps[i].d, got); inline {
+					got(v, ok)
+				}
+			}
+			next = func() {
+				if i < len(steps) {
+					tk.Sleep(steps[i].sleep, get)
+				}
+			}
+			next()
+		})
+	}
+	s.Run()
+	return trace
+}
+
+// TestGetTimeoutTMatchesGetTimeout: GetTimeoutT burns the same scheduler
+// slots as GetTimeout, so a Task consumer and a Proc consumer record the
+// same (time, event count) trace through hand-offs, timeouts and stale
+// timeouts.
+func TestGetTimeoutTMatchesGetTimeout(t *testing.T) {
+	proc, task := getTimeoutTrace(false), getTimeoutTrace(true)
+	if strings.Join(proc, "\n") != strings.Join(task, "\n") {
+		t.Fatalf("Task trace diverges from the Proc trace:\nproc:\n%s\ntask:\n%s",
+			strings.Join(proc, "\n"), strings.Join(task, "\n"))
+	}
+	want := []string{"get 1 true", "get 0 false", "get 2 true", "get 3 true"}
+	var gets []string
+	for _, e := range proc {
+		if f := strings.Fields(e); f[2] == "get" {
+			gets = append(gets, strings.Join(f[2:], " "))
+		}
+	}
+	if len(gets) != 7 {
+		t.Fatalf("consumer recorded %d gets, want 7:\n%s", len(gets), strings.Join(proc, "\n"))
+	}
+	for i, w := range want {
+		if gets[i] != w {
+			t.Errorf("get %d = %q, want %q (the 3µs deadline of get 3 must not cut get 4's wait)", i, gets[i], w)
+		}
+	}
+	if last := gets[len(gets)-2:]; last[0] != "get 5 true" || last[1] != "get 0 false" {
+		t.Errorf("inline cases = %v, want a buffered value then an immediate timeout", last)
+	}
+}
+
+// TestGetTimeoutTKillLeavesNoWaiter: killing a task parked in GetTimeoutT,
+// directly or through Shutdown, removes its waiter, and the pending timeout
+// then fires as a no-op.
+func TestGetTimeoutTKillLeavesNoWaiter(t *testing.T) {
+	for _, shutdown := range []bool{false, true} {
+		s := New(Config{})
+		ch := NewChan[int](s, 0)
+		ran := false
+		tk := s.SpawnTask("getter", func(tk *Task) {
+			ch.GetTimeoutT(tk, time.Millisecond, func(int, bool) { ran = true })
+		})
+		s.RunUntil(Time(time.Microsecond))
+		if n := ch.getters.len(); n != 1 {
+			t.Fatalf("shutdown=%v: %d parked getters, want 1", shutdown, n)
+		}
+		if shutdown {
+			s.Shutdown()
+		} else {
+			tk.Kill()
+			s.Run()
+			if !ch.TryPut(1) || ch.Len() != 1 {
+				t.Errorf("a put after the kill must buffer, not hand off to a dead waiter")
+			}
+		}
+		if n := ch.getters.len(); n != 0 {
+			t.Errorf("shutdown=%v: %d getters left behind", shutdown, n)
+		}
+		if ran {
+			t.Errorf("shutdown=%v: continuation of a killed task ran", shutdown)
+		}
+		if s.Live() != 0 {
+			t.Errorf("shutdown=%v: Live() = %d, want 0", shutdown, s.Live())
 		}
 	}
 }

@@ -382,84 +382,126 @@ func (in *Innova) serve(port uint16, acc accel.Accelerator, cfg mqueue.Config, n
 	})
 
 	// AFU: per-packet pipeline -> posted ring write. No CPU cost anywhere
-	// on the receive path; ring-state refreshes are batched.
-	tb.Sim.Spawn("innova/afu", func(p *sim.Proc) {
-		next := 0
-		sinceRefresh := 0
-		for {
-			dg := sock.Recv(p)
-			in.pipeline.With(p, tb.Params.InnovaPipeline, nil)
-			qi := next % n
-			q := group.Queue(qi)
+	// on the receive path; ring-state refreshes are batched. Both AFU stages
+	// are FPGA logic that runs once per packet, so they are tasks whose
+	// continuations are bound once.
+	tb.Sim.SpawnTask("innova/afu", func(t *sim.Task) {
+		next, sinceRefresh, qi := 0, 0, 0
+		var dg netstack.Datagram
+		var loop func()
+		pushed := func(slot int, err error) {
+			if err != nil {
+				in.dropped++
+			} else {
+				if duplex {
+					pending[qi].fifo[slot] = append(pending[qi].fifo[slot], dg.From)
+				}
+				in.received++
+				refill.TryPut(struct{}{})
+			}
+			loop()
+		}
+		push := func() { group.Queue(qi).PushAsyncT(t, dg.Payload, 0, pushed) }
+		steer := func() {
+			qi = next % n
 			next++
 			sinceRefresh++
 			// Refresh consumed-counters at a quarter of aggregate ring
 			// capacity so stale flow control never reports rings full
 			// while the accelerator is keeping up.
 			if sinceRefresh >= n*cfg.Slots/4 {
-				group.Refresh(p)
 				sinceRefresh = 0
+				group.RefreshT(t, push)
+				return
 			}
-			slot, err := q.PushAsync(p, dg.Payload, 0)
-			if err != nil {
-				in.dropped++
-				continue
-			}
-			if duplex {
-				pending[qi].fifo[slot] = append(pending[qi].fifo[slot], dg.From)
-			}
-			in.received++
-			refill.TryPut(struct{}{})
+			push()
 		}
+		got := func(d netstack.Datagram) {
+			dg = d
+			in.pipeline.WithT(t, tb.Params.InnovaPipeline, steer)
+		}
+		loop = func() {
+			if d, ok := sock.RecvT(t, got); ok {
+				got(d)
+			}
+		}
+		loop()
 	})
 
 	if duplex {
 		// Egress AFU stage: sweep TX rings (batched header read, slot
 		// reads) and emit responses at pipeline rate.
-		tb.Sim.Spawn("innova/afu-tx", func(p *sim.Proc) {
+		tb.Sim.SpawnTask("innova/afu-tx", func(t *sim.Task) {
 			gate := group.ActivityGate()
 			// The egress AFU drains each ring in spanning reads of up to the
 			// CQ-drain budget per visit (one slot per read when unbatched);
 			// the per-response pipeline charge is unchanged (the FPGA
 			// pipeline is per-packet — only the ring-poll round trips
-			// amortize).
+			// amortize). txBuf[j:k] are the drained responses not yet sent.
 			txBuf := make([]mqueue.TxMsg, tb.Params.Batch.EffCQDrain())
-			emit := func(p *sim.Proc, qi int, msg mqueue.TxMsg) {
-				in.pipeline.With(p, tb.Params.InnovaPipeline, nil)
-				fifo := pending[qi].fifo[msg.Corr]
-				if len(fifo) == 0 {
+			var (
+				v                   uint64
+				drained             bool
+				qi, j, k            int
+				sweep, drain, visit func()
+			)
+			emit := func() {
+				msg := txBuf[j]
+				j++
+				if fifo := pending[qi].fifo[msg.Corr]; len(fifo) > 0 {
+					pending[qi].fifo[msg.Corr] = fifo[1:]
+					sock.SendTo(fifo[0], msg.Payload)
+					in.sent++
+				} else {
 					tb.Check.Failf("snic.orphan-response",
 						"innova q%d: TX message for slot %d has no pending request", qi, msg.Corr)
+				}
+				drain()
+			}
+			nextQ := func() {
+				qi++
+				visit()
+			}
+			popped := func(cnt int) {
+				if cnt == 0 {
+					group.Queue(qi).CommitTxT(t, nextQ)
 					return
 				}
-				to := fifo[0]
-				pending[qi].fifo[msg.Corr] = fifo[1:]
-				sock.SendTo(to, msg.Payload)
-				in.sent++
+				drained = true
+				j, k = 0, cnt
+				drain()
 			}
-			for {
-				v := gate.Version()
-				group.Refresh(p)
-				drained := false
-				for qi := 0; qi < n; qi++ {
-					q := group.Queue(qi)
-					for q.Ready() {
-						k := q.PopTxMany(p, len(txBuf), txBuf)
-						if k == 0 {
-							break
-						}
-						drained = true
-						for j := 0; j < k; j++ {
-							emit(p, qi, txBuf[j])
-						}
-					}
-					q.CommitTx(p)
+			drain = func() {
+				if j < k {
+					in.pipeline.WithT(t, tb.Params.InnovaPipeline, emit)
+					return
 				}
-				if !drained {
-					gate.Wait(p, v)
-					p.Sleep(tb.Params.InnovaPipeline)
+				if q := group.Queue(qi); q.Ready() {
+					q.PopTxManyT(t, len(txBuf), txBuf, popped)
+					return
+				}
+				group.Queue(qi).CommitTxT(t, nextQ)
+			}
+			poll := func() { t.Sleep(tb.Params.InnovaPipeline, sweep) }
+			visit = func() {
+				switch {
+				case qi < n:
+					drain()
+				case drained:
+					sweep()
+				case gate.WaitT(t, v, poll):
+					poll()
 				}
 			}
+			refreshed := func() {
+				drained, qi = false, 0
+				visit()
+			}
+			sweep = func() {
+				v = gate.Version()
+				group.RefreshT(t, refreshed)
+			}
+			sweep()
 		})
 	}
 	return accQs, group, nil

@@ -409,7 +409,7 @@ func (g *Generator) runTCP() {
 					buf, seq := g.request()
 					g.inflight[seq] = p.Now()
 					g.begin(seq, p.Now())
-					if conn.Send(p, buf) != nil {
+					if conn.Send(buf) != nil {
 						return
 					}
 					p.Sleep(interval)
@@ -420,7 +420,7 @@ func (g *Generator) runTCP() {
 				buf, seq := g.request()
 				g.inflight[seq] = p.Now()
 				g.begin(seq, p.Now())
-				if conn.Send(p, buf) != nil {
+				if conn.Send(buf) != nil {
 					return
 				}
 				msg, enq, ok, err := conn.RecvQueuedTimeout(p, g.cfg.Timeout)

@@ -38,7 +38,7 @@ func echoService(s *sim.Sim, host *netstack.Host, service time.Duration) {
 					if service > 0 {
 						p.Sleep(service)
 					}
-					if conn.Send(p, msg) != nil {
+					if conn.Send(msg) != nil {
 						return
 					}
 				}
