@@ -465,13 +465,13 @@ func (r *Replicator) pumpT(t *sim.Task) {
 	}
 	send := func(w time.Duration) {
 		qw = w
-		rt.execT(t, r.svc.sendCost(), sent)
+		rt.execT(t, r.svc.sendCost(), 1, sent)
 	}
 	woke := func(bool) { pass() }
 	release = func() {
 		if len(r.releasable) > 0 {
 			hr = r.releasable[0]
-			rt.execT(t, rt.plat.Params.ForwardCost, send)
+			rt.execT(t, rt.plat.Params.ForwardCost, 1, send)
 			return
 		}
 		if progressed {

@@ -451,6 +451,15 @@ type replyTo struct {
 	conn    *netstack.TCPConn
 }
 
+// origin is the client address the request came from, which the dispatch
+// policy picks a queue by at every stage.
+func (to replyTo) origin() netstack.Addr {
+	if to.conn != nil {
+		return to.conn.RemoteAddr()
+	}
+	return to.udpFrom
+}
+
 // boundQueue is one server mqueue attached to a service stage.
 type boundQueue struct {
 	q     *mqueue.Queue
@@ -533,6 +542,13 @@ func (rt *Runtime) addService(proto Proto, port uint16, policy Policy, count int
 	for si, handles := range stages {
 		var stage []*boundQueue
 		for _, h := range handles {
+			if h.cfg.Barrier || h.cfg.NoCoalesce {
+				// The dispatcher posts prepared coalesced writes only
+				// (mqueue.PrepareWriteT), which these ablations refuse.
+				rollback()
+				return nil, fmt.Errorf("core: service on port %d stage %d: %s mqueues use the barrier or no-coalesce ablation",
+					port, si, h.acc.Name())
+			}
 			base, err := h.claim(count)
 			if err != nil {
 				rollback()
@@ -689,99 +705,10 @@ func (rt *Runtime) Start() error {
 
 	// Network server: receive paths.
 	for _, svc := range rt.services {
-		svc := svc
 		switch svc.proto {
 		case UDP:
-			// One receive context per worker core, all draining the
-			// shared socket (RSS-like). These always-on contexts run on the
-			// run-to-completion Task substrate: every wake executes inline
-			// in the scheduler loop, with no goroutine switch per datagram.
-			//
-			// This is the one receive-side fork between the unbatched and
-			// batched forms, and it stays for two reasons. The unbatched
-			// form emits the Dispatch trace event and records the reply
-			// destination only after its RDMA write completes (the
-			// committed breakdown trace golden pins that order), while the
-			// batched form must do that bookkeeping before it posts. And
-			// PushT is the only write path of the barrier and no-coalesce
-			// mqueue ablations, which the batched PrepareWriteT refuses.
-			if batch := rt.plat.Params.Batch; !batch.Unit() {
-				// Batched dequeue: each context drains a quantum of ready
-				// datagrams per wakeup, optionally lingering one coalescing
-				// window for stragglers, then dispatches the run through the
-				// serialized section once.
-				quantum := batch.EffQuantum()
-				for w := 0; w < rt.plat.Workers; w++ {
-					s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
-						dgs := make([]netstack.Datagram, quantum)
-						var loop func()
-						var gotBatch func(n int)
-						process := func(n int) {
-							now := t.Now()
-							for i := 0; i < n; i++ {
-								id := trace.SpanID(dgs[i].Payload)
-								rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-								if dgs[i].EnqueuedAt > 0 {
-									rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(dgs[i].EnqueuedAt))
-								}
-							}
-							rt.execBatchT(t, rt.udpCost(), n, func(qw time.Duration) {
-								for i := 0; i < n; i++ {
-									rt.plat.Spans.AddWait(trace.SpanID(dgs[i].Payload), trace.PhaseSNIC, shareWait(qw, n, i))
-								}
-								svc.dispatchBatchT(t, dgs[:n], loop)
-							})
-						}
-						gotBatch = func(n int) {
-							if win := batch.CoalesceWindow; win > 0 && n < quantum {
-								t.Sleep(win, func() {
-									for n < quantum {
-										dg, ok := svc.udpSock.TryRecv()
-										if !ok {
-											break
-										}
-										dgs[n] = dg
-										n++
-									}
-									process(n)
-								})
-								return
-							}
-							process(n)
-						}
-						loop = func() {
-							if n, ok := svc.udpSock.RecvBatchT(t, dgs, gotBatch); ok {
-								gotBatch(n)
-							}
-						}
-						loop()
-					})
-				}
-				continue
-			}
 			for w := 0; w < rt.plat.Workers; w++ {
-				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), func(t *sim.Task) {
-					var loop func()
-					var handle func(dg netstack.Datagram)
-					handle = func(dg netstack.Datagram) {
-						id := trace.SpanID(dg.Payload)
-						now := t.Now()
-						rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-						if dg.EnqueuedAt > 0 {
-							rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(dg.EnqueuedAt))
-						}
-						rt.execT(t, rt.udpCost(), func(qw time.Duration) {
-							rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-							svc.dispatchT(t, dg.Payload, replyTo{udpFrom: dg.From}, dg.From, loop)
-						})
-					}
-					loop = func() {
-						if dg, ok := svc.udpSock.RecvT(t, handle); ok {
-							handle(dg)
-						}
-					}
-					loop()
-				})
+				s.SpawnTask(fmt.Sprintf("lynx/udp-rx:%d/%d", svc.port, w), svc.recvUDPT)
 			}
 		case TCP:
 			s.SpawnTask(fmt.Sprintf("lynx/tcp-accept:%d", svc.port), svc.serveTCPT)
@@ -806,186 +733,14 @@ func (rt *Runtime) Start() error {
 		s.SpawnTask(fmt.Sprintf("lynx/repl-pump:%d", r.svc.port), r.pumpT)
 	}
 
-	// Remote MQ manager + message forwarder: one sweep process per
-	// accelerator (its QP context), draining TX rings with batched header
-	// polling.
+	// Remote MQ manager + message forwarder: the sweep work of each
+	// accelerator (its QP context) is shared by the worker cores, each
+	// context owning a partition of the accelerator's queues (the paper's
+	// workers split mqueues round-robin, §6.1).
 	for _, h := range rt.handles {
-		h := h
-		sinks := h.sinks
-		// The Remote MQ Manager's sweep work is shared by the worker
-		// cores: each context owns a partition of the accelerator's
-		// queues (the paper's workers split mqueues round-robin, §6.1).
-		nMgr := rt.plat.Workers
-		if nMgr > h.group.Len() {
-			nMgr = h.group.Len()
-		}
+		nMgr := min(rt.plat.Workers, h.group.Len())
 		for w := 0; w < nMgr; w++ {
-			w := w
-			// The sweep is the hottest always-on process (it wakes for every
-			// accelerator response), so it runs on the run-to-completion Task
-			// substrate. One sweep is a continuation chain: refresh,
-			// per-owned-queue drain loops, commit, watchdog, then block on
-			// the activity gate.
-			s.SpawnTask(fmt.Sprintf("lynx/mq-manager:%s/%d", h.acc.Name(), w), func(t *sim.Task) {
-				gate := h.group.ActivityGate()
-				// Watchdog state for the queues this context owns: the
-				// accelerator progress counters last observed and when they
-				// last moved. A queue holding in-flight messages with
-				// neither counter advancing for MQWatchdogTimeout is marked
-				// failed; it is restored the moment it makes progress.
-				wd := rt.plat.Params.MQWatchdogTimeout
-				type qhealth struct {
-					rxc, txs uint64
-					last     sim.Time
-				}
-				health := make([]qhealth, h.group.Len())
-				for i := range health {
-					health[i].last = t.Now()
-				}
-				// TX drain: each ring visit pulls up to the CQ-drain budget of
-				// responses in one spanning READ (one slot per READ when
-				// unbatched, since the budget is then 1) and forwards service
-				// responses as one run. fwdTo is the forwarder's scratch for
-				// the destinations of the responses it sends.
-				txBuf := make([]mqueue.TxMsg, rt.plat.Params.Batch.EffCQDrain())
-				fwdTo := make([]replyTo, len(txBuf))
-				popped := make([]func(k int), h.group.Len())
-				redrain := make([]func(), h.group.Len())
-				var (
-					sweep      func()
-					visit      func(i int)
-					drainQ     func(i int)
-					commit     func(i int)
-					afterSweep func()
-					v          uint64
-					drained    bool
-				)
-				sweep = func() {
-					v = gate.Version()
-					h.group.RefreshT(t, func() {
-						drained = false
-						visit(w)
-					})
-				}
-				visit = func(i int) {
-					if i >= h.group.Len() {
-						afterSweep()
-						return
-					}
-					drainQ(i)
-				}
-				drainQ = func(i int) {
-					q := h.group.Queue(i)
-					if !q.Ready() {
-						commit(i)
-						return
-					}
-					q.PopTxManyT(t, len(txBuf), txBuf, popped[i])
-				}
-				// The drain continuations of each owned queue are bound
-				// once, so a drain visit allocates no closure of its own.
-				for i := w; i < h.group.Len(); i += nMgr {
-					i := i
-					redrain[i] = func() { drainQ(i) }
-					popped[i] = func(k int) {
-						if k == 0 {
-							commit(i)
-							return
-						}
-						drained = true
-						sk := sinks[i]
-						switch {
-						case sk.svc != nil && sk.bq.stage+1 < len(sk.svc.stages):
-							sk.svc.relayT(t, sk.bq, txBuf[:k], redrain[i])
-						case sk.svc != nil:
-							sk.svc.forwardResponsesT(t, sk.bq, txBuf[:k], fwdTo, redrain[i])
-						case sk.cb != nil:
-							var fw func(j int)
-							fw = func(j int) {
-								if j >= k {
-									drainQ(i)
-									return
-								}
-								sk.cb.forwardOutT(t, txBuf[j], func() { fw(j + 1) })
-							}
-							fw(0)
-						case sk.rp != nil:
-							for j := 0; j < k; j++ {
-								sk.rp.r.onAck(sk.rp, txBuf[j].Payload)
-							}
-							drainQ(i)
-						default:
-							drainQ(i)
-						}
-					}
-				}
-				commit = func(i int) {
-					q := h.group.Queue(i)
-					q.CommitTxT(t, func() {
-						if wd <= 0 {
-							visit(i + nMgr)
-							return
-						}
-						rxc, txs := q.Counters()
-						hs := &health[i]
-						switch {
-						case rxc != hs.rxc || txs != hs.txs || q.InFlight() == 0:
-							hs.rxc, hs.txs, hs.last = rxc, txs, t.Now()
-							if bq := sinks[i].bq; bq != nil && bq.failed {
-								bq.failed = false
-								rt.stats.Failbacks++
-								rt.plat.Tracer.Emit(t.Now(), trace.Failover, uint64(i), 1)
-							}
-						case t.Now().Sub(hs.last) >= wd:
-							if bq := sinks[i].bq; bq != nil && sinks[i].svc != nil && !bq.failed {
-								bq.failed = true
-								rt.stats.Failovers++
-								rt.plat.Tracer.Emit(t.Now(), trace.Failover, uint64(i), 0)
-							}
-							// A frozen replication ingest ring is a dead
-							// peer: waive its acks and release every
-							// response blocked only on it.
-							if rp := sinks[i].rp; rp != nil {
-								rp.r.killPeer(t.Now(), rp)
-							}
-						}
-						visit(i + nMgr)
-					})
-				}
-				afterSweep = func() {
-					if drained {
-						sweep()
-						return
-					}
-					// The real manager spins at MQPollInterval; the
-					// simulator blocks on header activity and re-adds
-					// the polling detection delay. While any owned
-					// queue holds in-flight work the wait is bounded by
-					// the watchdog timeout, so a fully stalled
-					// accelerator (which never fires the gate) still
-					// gets inspected.
-					stuck := false
-					if wd > 0 {
-						for i := w; i < h.group.Len(); i += nMgr {
-							if h.group.Queue(i).InFlight() > 0 {
-								stuck = true
-								break
-							}
-						}
-					}
-					poll := func() { t.Sleep(rt.plat.Params.MQPollInterval/2, sweep) }
-					if stuck {
-						if inline, _ := gate.WaitTimeoutT(t, v, wd, func(bool) { poll() }); inline {
-							poll()
-						}
-					} else {
-						if gate.WaitT(t, v, poll) {
-							poll()
-						}
-					}
-				}
-				sweep()
-			})
+			s.SpawnTask(fmt.Sprintf("lynx/mq-manager:%s/%d", h.acc.Name(), w), rt.newMQManager(h, w, nMgr).run)
 		}
 	}
 	return nil

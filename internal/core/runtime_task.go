@@ -4,7 +4,8 @@
 // Remote MQ Manager sweeps — and the monitor run on the run-to-completion
 // Task substrate: each wake executes inline in the scheduler loop, with no
 // goroutine switch. The stages here are therefore written in
-// continuation-passing style, and each has exactly one form.
+// continuation-passing style, and each has exactly one form: an unbatched
+// runtime is a quantum of 1, and every request enters through the dispatcher.
 //
 // A loop that runs once per record binds its continuations once, when its
 // task starts, and passes per-record state through variables they share
@@ -63,36 +64,19 @@ func (f *execFrame) finish() {
 	k(t.Now().Sub(t0) - total)
 }
 
-// execT charges one unit of frontend CPU work, splitting it into the
-// serialized stack section (the shared VMA ring + dispatcher state) and the
-// parallel remainder (see model.StackSerialFraction). k runs once both shares
-// have been held, with the time the work queued for a core or the serial
-// section beyond the charged cost — the dispatcher-inbox wait the
-// attribution profile books against PhaseSNIC.
-func (rt *Runtime) execT(t *sim.Task, cost time.Duration, k func(qw time.Duration)) {
-	scaled := rt.plat.Machine.Scale(cost)
-	ser := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
-	rt.cpuBusy += scaled
-	rt.serialBusy += ser
-	rt.execCalls++
-	f := rt.getExecFrame()
-	f.t, f.t0, f.par, f.total, f.k = t, t.Now(), scaled-ser, scaled, k
-	rt.serial.WithT(t, ser, f.afterSerial)
-}
-
-// execBatchT charges the frontend CPU work of n equal-cost messages processed
-// in one pass, and k runs with the queueing wait. The serialized section is
-// entered once for the whole run: its per-message fixed portion
-// (model.SerialBatchFixed — the ring doorbell read, dispatcher lock handoff)
-// is paid once, the remainder scales with n; the parallel share is n full
-// units, since per-message payload work does not amortize. The caller
-// apportions the wait across the run's spans with shareWait, so attribution
-// stays telescoping-exact. With n == 1 it is execT, charge for charge.
-func (rt *Runtime) execBatchT(t *sim.Task, cost time.Duration, n int, k func(qw time.Duration)) {
-	if n <= 1 {
-		rt.execT(t, cost, k)
-		return
-	}
+// execT charges the frontend CPU work of n equal-cost messages processed in
+// one pass, splitting it into the serialized stack section (the shared VMA
+// ring + dispatcher state) and the parallel remainder (see
+// model.StackSerialFraction). The serialized section is entered once for the
+// whole run: its per-message fixed portion (model.SerialBatchFixed — the ring
+// doorbell read, dispatcher lock handoff) is paid once, the remainder scales
+// with n; the parallel share is n full units, since per-message payload work
+// does not amortize. k runs once both shares have been held, with the time
+// the work queued for a core or the serial section beyond the charged cost —
+// the dispatcher-inbox wait the attribution profile books against PhaseSNIC.
+// The caller apportions it across the run's spans with shareWait, so
+// attribution stays telescoping-exact.
+func (rt *Runtime) execT(t *sim.Task, cost time.Duration, n int, k func(qw time.Duration)) {
 	scaled := rt.plat.Machine.Scale(cost)
 	ser1 := time.Duration(float64(scaled) * rt.plat.Params.StackSerialFraction)
 	fixed := time.Duration(float64(ser1) * rt.plat.Params.SerialBatchFixed)
@@ -117,133 +101,155 @@ func (rt *Runtime) execParallelT(t *sim.Task, cost time.Duration, k func(qw time
 	rt.cores.WithT(t, scaled, f.afterCores)
 }
 
-// dispatchT delivers one client message to the server mqueue pick selects.
-func (s *Service) dispatchT(t *sim.Task, payload []byte, to replyTo, from netstack.Addr, k func()) {
-	rt := s.rt
-	rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(payload)), uint64(s.port))
-	rt.execT(t, rt.plat.Params.DispatchCost, func(qw time.Duration) {
-		qi := s.pick(from, 0)
-		bq := s.stages[0][qi]
-		id := trace.SpanID(payload)
-		rt.plat.Spans.AddWait(id, trace.PhaseSNIC, qw)
-		rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
-		rt.plat.Spans.SetQueue(id, qi)
-		bq.q.PushT(t, payload, 0, func(slot int, err error) {
-			if err != nil {
-				s.shed(t.Now(), bq, qi, id)
-				k()
-				return
-			}
-			// Fallback for queues without their own span table
-			// (first-write-wins: a queue armed with cfg.Spans already
-			// stamped at write-delivery time).
-			rt.plat.Spans.Stamp(id, trace.StagePushed, t.Now())
-			bq.pending[slot] = append(bq.pending[slot], to)
-			rt.stats.Received++
-			rt.plat.Tracer.Emit(t.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-			if s.repl != nil {
-				s.repl.onDispatch(payload)
-			}
-			k()
-		})
-	})
+// inMsg is one received client message: its bytes, where its response must
+// go, and when the network stack queued it (0 if the transport cannot say).
+type inMsg struct {
+	payload []byte
+	to      replyTo
+	enq     sim.Time
 }
 
-// dispatchBatchT delivers a run of ready datagrams as one dispatcher
-// scheduling quantum (Params.Batch.Quantum > 1): the serialized section is
-// entered once for the whole run, every message's slot is reserved and its
-// reply bookkeeping recorded before any RDMA is posted, and the
+// dispatcher is the Message Dispatcher of one receive task (a UDP worker or a
+// TCP connection). Every client request reaches stage 0 through it, as a run
+// of one or more messages: an unbatched runtime is a quantum of 1. A run is
+// charged the transport stack cost and then the dispatch cost, each entering
+// the serialized section once (execT); every message's slot is reserved and
+// its reply bookkeeping recorded before any RDMA is posted; and the
 // message-bearing writes are posted in doorbell groups with a checkpointed
 // completion wait — ceil(k/doorbell) issue charges and ceil(k/cqDrain)
-// wakeups for a k-message quantum.
+// wakeups for a k-message run, one of each for a run of one.
 //
-// Bookkeeping must precede posting: with only checkpoint completions
-// awaited, an early message of the batch lands — and its response can race
-// back through the MQ manager — before the posting context regains control.
-// Reserving the pending-reply FIFO entry at preparation time keeps that
-// response from being misread as an orphan. StagePushed is stamped by the
-// write's delivery hook exactly as in the per-message path. The preparation
-// loop is sequential: a refresh inside PrepareWriteT parks the task and the
-// loop resumes in its continuation.
-func (s *Service) dispatchBatchT(t *sim.Task, dgs []netstack.Datagram, k func()) {
+// Bookkeeping precedes posting: with only checkpoint completions awaited, an
+// early message of a run lands — and its response can race back through the
+// MQ manager — before the posting context regains control. Recording the
+// pending-reply FIFO entry at preparation time keeps that response from being
+// misread as an orphan. StagePushed is stamped by the write's delivery hook.
+// The preparation loop is sequential: a refresh inside PrepareWriteT parks
+// the task and the loop resumes in its continuation.
+type dispatcher struct {
+	s    *Service
+	t    *sim.Task
+	msgs []inMsg // the receive task fills msgs[:n] and calls receiveT
+	n    int
+	k    func()
+	cost time.Duration // transport stack cost per message
+	// stacked continues a run once its stack cost is charged. It and the
+	// rest of the chain are bound once, so a run allocates nothing here.
+	stacked func(qw time.Duration)
+}
+
+// newDispatcher binds the dispatcher of receive task t, for runs of at most
+// quantum messages each charged stack cost.
+func (s *Service) newDispatcher(t *sim.Task, quantum int, cost time.Duration) *dispatcher {
 	rt := s.rt
-	n := len(dgs)
-	if n == 0 {
-		k()
-		return
+	type preparedWR struct {
+		wr rdma.WR
+		qp *rdma.QP
 	}
-	for i := range dgs {
-		rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(dgs[i].Payload)), uint64(s.port))
+	d := &dispatcher{s: s, t: t, msgs: make([]inMsg, quantum), cost: cost}
+	preps := make([]preparedWR, 0, quantum)
+	wrs := make([]rdma.WR, 0, quantum)
+	var (
+		qw       time.Duration // the dispatch charge's queueing wait
+		i, qi    int           // the message being prepared and its queue
+		bq       *boundQueue
+		prepFrom func(from int)
+		postNext func()
+	)
+	// book records prepared message i: shed on a full ring, otherwise its
+	// reply destination is queued, it counts as received, and its write
+	// joins the run's posts.
+	book := func(wr rdma.WR, slot int, err error) {
+		m := &d.msgs[i]
+		if err != nil {
+			s.shed(t.Now(), bq, qi, trace.SpanID(m.payload))
+			return
+		}
+		bq.pending[slot] = append(bq.pending[slot], m.to)
+		rt.stats.Received++
+		rt.plat.Tracer.Emit(t.Now(), trace.Dispatch, uint64(qi), uint64(slot))
+		if s.repl != nil {
+			s.repl.onDispatch(m.payload)
+		}
+		preps = append(preps, preparedWR{wr: wr, qp: bq.q.QP()})
 	}
-	rt.execBatchT(t, rt.plat.Params.DispatchCost, n, func(qw time.Duration) {
-		type preparedWR struct {
-			wr rdma.WR
-			qp *rdma.QP
-		}
-		preps := make([]preparedWR, 0, n)
-		var prep func(i int)
-		post := func() {
-			batch := rt.plat.Params.Batch
-			wrs := make([]rdma.WR, 0, len(preps))
-			var postNext func()
-			postNext = func() {
-				if len(preps) == 0 {
-					k()
-					return
-				}
-				qp := preps[0].qp
-				wrs = wrs[:0]
-				rest := preps[:0]
-				for _, pr := range preps {
-					if pr.qp == qp {
-						wrs = append(wrs, pr.wr)
-					} else {
-						rest = append(rest, pr)
-					}
-				}
-				preps = rest
-				qp.PostAndWaitT(t, wrs, batch.EffDoorbell(), batch.EffCQDrain(), func(rdma.CQE) {
-					postNext()
-				})
-			}
-			postNext()
-		}
-		finish := func(i, qi int, bq *boundQueue, wr rdma.WR, slot int, err error) {
-			if err != nil {
-				s.shed(t.Now(), bq, qi, trace.SpanID(dgs[i].Payload))
+	prepared := func(wr rdma.WR, slot int, err error) {
+		book(wr, slot, err)
+		prepFrom(i + 1)
+	}
+	prepFrom = func(from int) {
+		for i = from; i < d.n; i++ {
+			m := &d.msgs[i]
+			qi = s.pick(m.to.origin(), 0)
+			bq = s.stages[0][qi]
+			id := trace.SpanID(m.payload)
+			rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, d.n, i))
+			rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
+			rt.plat.Spans.SetQueue(id, qi)
+			wr, slot, err, inline := bq.q.PrepareWriteT(t, m.payload, 0, prepared)
+			if !inline {
 				return
 			}
-			bq.pending[slot] = append(bq.pending[slot], replyTo{udpFrom: dgs[i].From})
-			rt.stats.Received++
-			rt.plat.Tracer.Emit(t.Now(), trace.Dispatch, uint64(qi), uint64(slot))
-			if s.repl != nil {
-				s.repl.onDispatch(dgs[i].Payload)
-			}
-			preps = append(preps, preparedWR{wr: wr, qp: bq.q.QP()})
+			book(wr, slot, err)
 		}
-		prep = func(i int) {
-			for ; i < n; i++ {
-				payload := dgs[i].Payload
-				qi := s.pick(dgs[i].From, 0)
-				bq := s.stages[0][qi]
-				id := trace.SpanID(payload)
-				rt.plat.Spans.AddWait(id, trace.PhaseSNIC, shareWait(qw, n, i))
-				rt.plat.Spans.Stamp(id, trace.StageDispatch, t.Now())
-				rt.plat.Spans.SetQueue(id, qi)
-				i, qi, bq := i, qi, bq
-				wr, slot, err, inline := bq.q.PrepareWriteT(t, payload, 0, func(wr rdma.WR, slot int, err error) {
-					finish(i, qi, bq, wr, slot, err)
-					prep(i + 1)
-				})
-				if !inline {
-					return
-				}
-				finish(i, qi, bq, wr, slot, err)
-			}
-			post()
+		postNext()
+	}
+	posted := func(rdma.CQE) { postNext() }
+	// postNext posts the prepared writes of one QP and waits for them, until
+	// none are left; then the run is done.
+	postNext = func() {
+		if len(preps) == 0 {
+			k := d.k
+			d.k = nil
+			k()
+			return
 		}
-		prep(0)
-	})
+		qp := preps[0].qp
+		wrs = wrs[:0]
+		rest := preps[:0]
+		for _, pr := range preps {
+			if pr.qp == qp {
+				wrs = append(wrs, pr.wr)
+			} else {
+				rest = append(rest, pr)
+			}
+		}
+		preps = rest
+		batch := rt.plat.Params.Batch
+		qp.PostAndWaitT(t, wrs, batch.EffDoorbell(), batch.EffCQDrain(), posted)
+	}
+	charged := func(w time.Duration) {
+		qw = w
+		preps = preps[:0]
+		prepFrom(0)
+	}
+	d.stacked = func(qw time.Duration) {
+		msgs := d.msgs[:d.n]
+		for i, m := range msgs {
+			rt.plat.Spans.AddWait(trace.SpanID(m.payload), trace.PhaseSNIC, shareWait(qw, d.n, i))
+		}
+		for _, m := range msgs {
+			rt.plat.Tracer.Emit(t.Now(), trace.Recv, uint64(len(m.payload)), uint64(s.port))
+		}
+		rt.execT(t, rt.plat.Params.DispatchCost, d.n, charged)
+	}
+	return d
+}
+
+// receiveT takes the run msgs[:n] off the transport and dispatches it: it
+// stamps each span's SNIC arrival and network-queue wait and charges the
+// stack cost for the run; k runs once every write of the run completed.
+func (d *dispatcher) receiveT(n int, k func()) {
+	rt, now := d.s.rt, d.t.Now()
+	for _, m := range d.msgs[:n] {
+		id := trace.SpanID(m.payload)
+		rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
+		if m.enq > 0 {
+			rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(m.enq))
+		}
+	}
+	d.n, d.k = n, k
+	rt.execT(d.t, d.cost, n, d.stacked)
 }
 
 // forwardResponsesT is the Message Forwarder: it routes the run of TX
@@ -264,7 +270,7 @@ func (s *Service) forwardResponsesT(t *sim.Task, bq *boundQueue, msgs []mqueue.T
 		rt.plat.Tracer.Emit(t.Now(), trace.Drain, uint64(msgs[i].Slot), uint64(msgs[i].Corr))
 		rt.plat.Spans.Stamp(trace.SpanID(msgs[i].Payload), trace.StageDrain, t.Now())
 	}
-	rt.execBatchT(t, rt.plat.Params.ForwardCost, n, func(qw time.Duration) {
+	rt.execT(t, rt.plat.Params.ForwardCost, n, func(qw time.Duration) {
 		m := 0
 		for _, msg := range msgs {
 			fifo := bq.pending[msg.Corr]
@@ -287,7 +293,7 @@ func (s *Service) forwardResponsesT(t *sim.Task, bq *boundQueue, msgs []mqueue.T
 			k()
 			return
 		}
-		rt.execBatchT(t, s.sendCost(), m, func(qw2 time.Duration) {
+		rt.execT(t, s.sendCost(), m, func(qw2 time.Duration) {
 			qw += qw2
 			for j, msg := range msgs[:m] {
 				s.send(tos[j], msg.Payload)
@@ -384,7 +390,7 @@ func (s *Service) relayT(t *sim.Task, bq *boundQueue, msgs []mqueue.TxMsg, k fun
 		to := fifo[0]
 		bq.pending[msg.Corr] = fifo[1:]
 		rt.inTransit++
-		rt.execT(t, rt.plat.Params.DispatchCost, func(time.Duration) {
+		rt.execT(t, rt.plat.Params.DispatchCost, 1, func(time.Duration) {
 			s.relayed++
 			rt.plat.Tracer.Emit(t.Now(), trace.Relay, uint64(next), 0)
 			from := to.udpFrom
@@ -424,30 +430,66 @@ func (s *Service) serveTCPT(t *sim.Task) {
 }
 
 // recvTCPT is one connection's receive loop ("lynx/tcp-rx"): each framed
-// message is charged the TCP stack cost and dispatched. It ends when the
-// connection closes or resets.
+// message is dispatched as a run of one. It ends when the connection closes
+// or resets.
 func (s *Service) recvTCPT(t *sim.Task, conn *netstack.TCPConn) {
-	rt := s.rt
-	var msg []byte
+	d := s.newDispatcher(t, 1, s.rt.tcpCost())
 	var loop func()
-	dispatch := func(qw time.Duration) {
-		rt.plat.Spans.AddWait(trace.SpanID(msg), trace.PhaseSNIC, qw)
-		s.dispatchT(t, msg, replyTo{conn: conn}, conn.RemoteAddr(), loop)
-	}
 	got := func(m []byte, enq sim.Time, err error) {
 		if err != nil {
 			return
 		}
-		msg = m
-		id := trace.SpanID(m)
-		now := t.Now()
-		rt.plat.Spans.Stamp(id, trace.StageSnicRecv, now)
-		if enq > 0 {
-			rt.plat.Spans.AddWait(id, trace.PhaseNetwork, now.Sub(enq))
-		}
-		rt.execT(t, rt.tcpCost(), dispatch)
+		d.msgs[0] = inMsg{payload: m, to: replyTo{conn: conn}, enq: enq}
+		d.receiveT(1, loop)
 	}
 	loop = func() { conn.RecvQueuedT(t, got) }
+	loop()
+}
+
+// recvUDPT is one UDP receive worker ("lynx/udp-rx"); one runs per worker
+// core, all draining the service's shared socket (RSS-like). Each wake takes
+// the datagram that woke it plus whatever else is already queued, up to the
+// dispatcher quantum, optionally lingers one coalescing window for
+// stragglers, and dispatches the run.
+func (s *Service) recvUDPT(t *sim.Task) {
+	batch := s.rt.plat.Params.Batch
+	quantum := batch.EffQuantum()
+	d := s.newDispatcher(t, quantum, s.rt.udpCost())
+	var n int
+	var loop func()
+	take := func(dg netstack.Datagram) {
+		d.msgs[n] = inMsg{payload: dg.Payload, to: replyTo{udpFrom: dg.From}, enq: dg.EnqueuedAt}
+		n++
+	}
+	drain := func() {
+		for n < quantum {
+			dg, ok := s.udpSock.TryRecv()
+			if !ok {
+				return
+			}
+			take(dg)
+		}
+	}
+	// linger ends a coalescing window: take the stragglers, then dispatch.
+	linger := func() {
+		drain()
+		d.receiveT(n, loop)
+	}
+	got := func(dg netstack.Datagram) {
+		n = 0
+		take(dg)
+		drain()
+		if win := batch.CoalesceWindow; win > 0 && n < quantum {
+			t.Sleep(win, linger)
+			return
+		}
+		d.receiveT(n, loop)
+	}
+	loop = func() {
+		if dg, ok := s.udpSock.RecvT(t, got); ok {
+			got(dg)
+		}
+	}
 	loop()
 }
 
@@ -557,4 +599,205 @@ func (cb *ClientBinding) retryT(t *sim.Task) {
 		scan()
 	}
 	t.Sleep(timeout/4, tick)
+}
+
+// mqManager is one context of an accelerator's Remote MQ Manager and Message
+// Forwarder ("lynx/mq-manager"). It owns the queues w, w+stride, ... of the
+// accelerator's group. One sweep refreshes the group's header counters,
+// drains each owned queue's TX ring and routes what it drained to the
+// queue's sink, commits the drain, runs the watchdog, and when nothing was
+// drained waits for header activity. The sweep is the hottest always-on
+// process (it wakes for every accelerator response); it visits one queue at
+// a time, so the queue being visited travels in the manager's fields and
+// every continuation is bound once.
+type mqManager struct {
+	rt        *Runtime
+	h         *AccelHandle
+	t         *sim.Task
+	w, stride int
+	gate      *sim.Gate
+	wd        time.Duration // watchdog timeout
+	health    []qhealth
+	// txBuf takes one drain of up to the CQ-drain budget (1 when
+	// unbatched); fwdTo is the forwarder's scratch for its destinations.
+	txBuf []mqueue.TxMsg
+	fwdTo []replyTo
+
+	v       uint64 // activity-gate version the sweep started at
+	drained bool   // the sweep drained at least one message
+	i, j, n int    // the visited queue; a client-binding run's cursor j of n
+
+	sweepK, refreshed, drainK, committed, forwardK, pollK func()
+	popped                                                func(n int)
+	woke                                                  func(bool)
+}
+
+// qhealth is the watchdog's view of one queue: the accelerator progress
+// counters last observed and when they last moved. A queue holding in-flight
+// messages with neither counter advancing for the timeout is marked failed;
+// it is restored the moment it makes progress.
+type qhealth struct {
+	rxc, txs uint64
+	last     sim.Time
+}
+
+func (rt *Runtime) newMQManager(h *AccelHandle, w, stride int) *mqManager {
+	m := &mqManager{
+		rt: rt, h: h, w: w, stride: stride,
+		gate:  h.group.ActivityGate(),
+		wd:    rt.plat.Params.MQWatchdogTimeout,
+		txBuf: make([]mqueue.TxMsg, rt.plat.Params.Batch.EffCQDrain()),
+	}
+	m.health = make([]qhealth, h.group.Len())
+	for i := range m.health {
+		m.health[i].last = rt.plat.Sim.Now()
+	}
+	m.fwdTo = make([]replyTo, len(m.txBuf))
+	m.sweepK = m.sweep
+	m.refreshed = func() {
+		m.drained = false
+		m.visit(m.w)
+	}
+	m.drainK = m.drain
+	m.popped = m.route
+	m.committed = m.watch
+	m.forwardK = m.forwardOut
+	m.pollK = func() { m.t.Sleep(m.rt.plat.Params.MQPollInterval/2, m.sweepK) }
+	m.woke = func(bool) { m.pollK() }
+	return m
+}
+
+// run is the manager's task body.
+func (m *mqManager) run(t *sim.Task) { m.t = t; m.sweep() }
+
+// sweep starts one pass over the owned queues with a header refresh.
+func (m *mqManager) sweep() {
+	m.v = m.gate.Version()
+	m.h.group.RefreshT(m.t, m.refreshed)
+}
+
+// visit moves to owned queue i, or ends the pass after the last one.
+func (m *mqManager) visit(i int) {
+	if i >= m.h.group.Len() {
+		m.idle()
+		return
+	}
+	m.i = i
+	m.drain()
+}
+
+// drain pops the next run of the visited queue's TX ring, or commits once
+// the ring is empty.
+func (m *mqManager) drain() {
+	q := m.h.group.Queue(m.i)
+	if !q.Ready() {
+		m.commit()
+		return
+	}
+	q.PopTxManyT(m.t, len(m.txBuf), m.txBuf, m.popped)
+}
+
+// route hands the n messages drained from the visited queue to its sink,
+// then drains again.
+func (m *mqManager) route(n int) {
+	if n == 0 {
+		m.commit()
+		return
+	}
+	m.drained = true
+	sk := m.h.sinks[m.i]
+	switch {
+	case sk.svc != nil && sk.bq.stage+1 < len(sk.svc.stages):
+		sk.svc.relayT(m.t, sk.bq, m.txBuf[:n], m.drainK)
+	case sk.svc != nil:
+		sk.svc.forwardResponsesT(m.t, sk.bq, m.txBuf[:n], m.fwdTo, m.drainK)
+	case sk.cb != nil:
+		m.j, m.n = 0, n
+		m.forwardOut()
+	case sk.rp != nil:
+		for _, msg := range m.txBuf[:n] {
+			sk.rp.r.onAck(sk.rp, msg.Payload)
+		}
+		m.drain()
+	default:
+		m.drain()
+	}
+}
+
+// forwardOut ships the client-binding messages of a run to their backend one
+// at a time.
+func (m *mqManager) forwardOut() {
+	if m.j >= m.n {
+		m.drain()
+		return
+	}
+	m.j++
+	m.h.sinks[m.i].cb.forwardOutT(m.t, m.txBuf[m.j-1], m.forwardK)
+}
+
+// commit publishes the visited queue's TX-consumed counter.
+func (m *mqManager) commit() {
+	m.h.group.Queue(m.i).CommitTxT(m.t, m.committed)
+}
+
+// watch runs the watchdog over the visited queue, then moves to the next
+// owned one.
+func (m *mqManager) watch() {
+	i, now := m.i, m.t.Now()
+	if m.wd > 0 {
+		rt, sk := m.rt, m.h.sinks[i]
+		q := m.h.group.Queue(i)
+		rxc, txs := q.Counters()
+		hs := &m.health[i]
+		switch {
+		case rxc != hs.rxc || txs != hs.txs || q.InFlight() == 0:
+			hs.rxc, hs.txs, hs.last = rxc, txs, now
+			if sk.bq != nil && sk.bq.failed {
+				sk.bq.failed = false
+				rt.stats.Failbacks++
+				rt.plat.Tracer.Emit(now, trace.Failover, uint64(i), 1)
+			}
+		case now.Sub(hs.last) >= m.wd:
+			if sk.bq != nil && sk.svc != nil && !sk.bq.failed {
+				sk.bq.failed = true
+				rt.stats.Failovers++
+				rt.plat.Tracer.Emit(now, trace.Failover, uint64(i), 0)
+			}
+			// A frozen replication ingest ring is a dead peer: waive its
+			// acks and release every response blocked only on it.
+			if sk.rp != nil {
+				sk.rp.r.killPeer(now, sk.rp)
+			}
+		}
+	}
+	m.visit(i + m.stride)
+}
+
+// idle ends a pass: sweep again at once if it drained anything, otherwise
+// wait for header activity. The real manager spins at MQPollInterval; the
+// simulator blocks on the activity gate and re-adds the polling detection
+// delay. While any owned queue holds in-flight work the wait is bounded by
+// the watchdog timeout, so a fully stalled accelerator (which never fires
+// the gate) still gets inspected.
+func (m *mqManager) idle() {
+	if m.drained {
+		m.sweep()
+		return
+	}
+	stuck := false
+	if m.wd > 0 {
+		for i := m.w; i < m.h.group.Len(); i += m.stride {
+			if m.h.group.Queue(i).InFlight() > 0 {
+				stuck = true
+				break
+			}
+		}
+	}
+	if stuck {
+		if inline, _ := m.gate.WaitTimeoutT(m.t, m.v, m.wd, m.woke); inline {
+			m.pollK()
+		}
+	} else if m.gate.WaitT(m.t, m.v, m.pollK) {
+		m.pollK()
+	}
 }

@@ -28,13 +28,13 @@ type bed struct {
 	client *netstack.Host
 }
 
-func newBed(t *testing.T, seed uint64) *bed {
+func newBed(t testing.TB, seed uint64) *bed {
 	t.Helper()
 	return newFaultBed(t, seed, fault.Config{})
 }
 
 // newFaultBed is newBed with a fault-injection plan built from fc.
-func newFaultBed(t *testing.T, seed uint64, fc fault.Config) *bed {
+func newFaultBed(t testing.TB, seed uint64, fc fault.Config) *bed {
 	t.Helper()
 	p := model.Default()
 	tb := snic.NewTestbedWith(seed, &p, fc)
@@ -49,7 +49,7 @@ func newFaultBed(t *testing.T, seed uint64, fc fault.Config) *bed {
 }
 
 // startEchoTBs launches persistent echo threadblocks, one per queue.
-func startEchoTBs(t *testing.T, b *bed, h *core.AccelHandle, compute time.Duration) {
+func startEchoTBs(t testing.TB, b *bed, h *core.AccelHandle, compute time.Duration) {
 	t.Helper()
 	qs := h.AccelQueues()
 	err := b.gpu.LaunchPersistent(b.tb.Sim, len(qs), func(tb *accel.TB) {

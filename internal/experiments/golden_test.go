@@ -10,8 +10,17 @@ import (
 // release before the scheduler's run-to-completion Task substrate took over
 // the hot path (UDP receive, MQ-manager sweeps, the RDMA engine loop). These
 // tests pin the substrate port: any drift in virtual-time behaviour shows up
-// as a byte diff in the CSV report or the Chrome trace timeline. If an
-// intentional semantic change lands, regenerate with:
+// as a byte diff in the CSV report or the Chrome trace timeline.
+//
+// The trace timeline was regenerated once on purpose: when the unbatched
+// receive path was folded into the one dispatcher, an unbatched request's
+// Dispatch event moved from its write's completion to its slot reservation
+// (the order the batched dispatcher always had). The CSVs did not change.
+// The replication-identity event trace (replication_golden_test.go) and the
+// SNIC-substrate CSV (sec62-innova's BlueField rate and the replication
+// failover time) were regenerated with it, for the same reason.
+//
+// If an intentional semantic change lands, regenerate with:
 //
 //	go run ./cmd/lynxbench -exp breakdown -scale 0.25 -seed 7 -csv \
 //	    -trace-json internal/experiments/testdata/pr6_breakdown_scale025_seed7_trace.json \

@@ -324,15 +324,6 @@ func (s *UDPSocket) RecvT(t *sim.Task, fn func(Datagram)) (Datagram, bool) {
 	return s.rxq.GetT(t, fn)
 }
 
-// RecvBatchT receives up to len(buf) datagrams for a task: it waits for the
-// first, then drains whatever is already queued without waiting — one wakeup
-// per burst instead of one per packet (the batched dispatcher's dequeue). It
-// follows RecvT's inline-return convention: (n, true) means n datagrams were
-// stored inline and fn never runs.
-func (s *UDPSocket) RecvBatchT(t *sim.Task, buf []Datagram, fn func(int)) (int, bool) {
-	return s.rxq.GetBatchT(t, buf, fn)
-}
-
 // TryRecv polls for a datagram without blocking.
 func (s *UDPSocket) TryRecv() (Datagram, bool) { return s.rxq.TryGet() }
 

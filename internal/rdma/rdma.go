@@ -148,11 +148,13 @@ type QP struct {
 	inflight []*inflightWR
 	inflHead int
 
-	// flFree and replyFree recycle inflight nodes and reply channels so the
-	// per-operation hot path allocates nothing once warm. Recycling changes
-	// no scheduling decision — only where the bookkeeping structs live.
+	// flFree, replyFree and frames recycle inflight nodes, reply channels
+	// and post-and-wait frames so the per-operation hot path allocates
+	// nothing once warm. Recycling changes no scheduling decision — only
+	// where the bookkeeping structs live.
 	flFree    []*inflightWR
 	replyFree []*sim.Chan[CQE]
+	frames    []*waitFrame
 
 	credits  int // UC receive credits
 	dropped  uint64
@@ -437,70 +439,113 @@ func (qp *QP) postAllT(t *sim.Task, wrs []WR, k func()) {
 // every cqDrain-th WR and on the final one, and since RC QPs complete in
 // posting order, observing a checkpoint CQE implies every preceding WR is
 // done — ceil(n/cqDrain) wakeups instead of n. doorbell/cqDrain values below
-// 1 mean 1, which degenerates to per-message post-and-wait.
+// 1 mean 1, which degenerates to per-message post-and-wait. wrs must stay
+// untouched until k runs.
 func (qp *QP) PostAndWaitT(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(CQE)) {
-	n := len(wrs)
-	if n == 0 {
+	if len(wrs) == 0 {
 		k(CQE{})
 		return
 	}
-	if doorbell < 1 {
-		doorbell = 1
-	}
-	if cqDrain < 1 {
-		cqDrain = 1
-	}
-	checkpoints := 0
-	reply := qp.getReply()
-	for i := range wrs {
-		if (i+1)%cqDrain == 0 || i == n-1 {
-			wrs[i].reply = reply
-			checkpoints++
-		}
-	}
-	var postGroup func(off int)
-	var collect func(remaining int, last CQE)
-	postGroup = func(off int) {
-		if off >= n {
-			collect(checkpoints, CQE{})
-			return
-		}
-		end := off + doorbell
-		if end > n {
-			end = n
-		}
-		qp.PostManyT(t, wrs[off:end], func() { postGroup(end) })
-	}
-	collect = func(remaining int, last CQE) {
-		for remaining > 0 {
-			rem := remaining
-			cqe, ok := reply.GetT(t, func(c CQE) { collect(rem-1, c) })
-			if !ok {
-				return
-			}
-			last = cqe
-			remaining--
-		}
-		qp.putReply(reply)
-		k(last)
-	}
-	postGroup(0)
+	qp.getWaitFrame().start(t, wrs, doorbell, cqDrain, k)
 }
 
-// postWaitT posts wr with a pooled reply channel; k runs with its
-// completion.
+// postWaitT posts wr and k runs with its completion: PostAndWaitT of one WR.
 func (qp *QP) postWaitT(t *sim.Task, wr WR, k func(CQE)) {
-	reply := qp.getReply()
-	wr.reply = reply
-	qp.PostT(t, wr, func() {
-		if cqe, ok := reply.GetT(t, func(c CQE) {
-			qp.putReply(reply)
-			k(c)
-		}); ok {
-			qp.putReply(reply)
-			k(cqe)
+	f := qp.getWaitFrame()
+	f.one[0] = wr
+	f.start(t, f.one[:], 1, 1, k)
+}
+
+// waitFrame carries one PostAndWaitT call through its doorbell groups and
+// checkpoint waits without per-call closures: the continuations are bound
+// once when the frame is created, and the call's state travels in its
+// fields. Frames are pooled per QP; collect recycles the frame before
+// invoking k, so a post issued from inside k reuses it.
+type waitFrame struct {
+	qp        *QP
+	t         *sim.Task
+	wrs       []WR
+	one       [1]WR // backing store of a single-WR post
+	doorbell  int
+	off, end  int // the doorbell group being enqueued is wrs[off:end]
+	remaining int // checkpoint completions still to collect
+	last      CQE
+	reply     *sim.Chan[CQE]
+	k         func(CQE)
+
+	enqueueK, postGroupK func()    // pre-bound f.enqueue, f.postGroup
+	got                  func(CQE) // pre-bound: one checkpoint completion arrived
+}
+
+func (qp *QP) getWaitFrame() *waitFrame {
+	if n := len(qp.frames); n > 0 {
+		f := qp.frames[n-1]
+		qp.frames = qp.frames[:n-1]
+		return f
+	}
+	f := &waitFrame{qp: qp}
+	f.enqueueK, f.postGroupK = f.enqueue, f.postGroup
+	f.got = func(c CQE) {
+		f.last = c
+		f.remaining--
+		f.collect()
+	}
+	return f
+}
+
+// start marks the checkpoint WRs of the call and posts its first group.
+func (f *waitFrame) start(t *sim.Task, wrs []WR, doorbell, cqDrain int, k func(CQE)) {
+	f.t, f.wrs, f.doorbell, f.k = t, wrs, max(doorbell, 1), k
+	cqDrain = max(cqDrain, 1)
+	f.reply = f.qp.getReply()
+	for i := range wrs {
+		if (i+1)%cqDrain == 0 || i == len(wrs)-1 {
+			wrs[i].reply = f.reply
+			f.remaining++
 		}
-	})
+	}
+	f.postGroup()
+}
+
+// postGroup posts the next doorbell group, charging the posting task one
+// issue cost unless the QP is hardware driven; after the last group it
+// collects the checkpoint completions.
+func (f *waitFrame) postGroup() {
+	if f.off >= len(f.wrs) {
+		f.collect()
+		return
+	}
+	f.end = min(f.off+f.doorbell, len(f.wrs))
+	if f.qp.hw {
+		f.enqueue()
+		return
+	}
+	f.t.Sleep(f.qp.engine.params.RDMAIssue, f.enqueueK)
+}
+
+// enqueue puts the group's WRs into the send queue, then posts the next.
+func (f *waitFrame) enqueue() {
+	group := f.wrs[f.off:f.end]
+	f.off = f.end
+	f.qp.postAllT(f.t, group, f.postGroupK)
+}
+
+// collect waits for the remaining checkpoint completions, then recycles the
+// frame and its reply channel and runs k with the final CQE.
+func (f *waitFrame) collect() {
+	for f.remaining > 0 {
+		cqe, ok := f.reply.GetT(f.t, f.got)
+		if !ok {
+			return
+		}
+		f.last = cqe
+		f.remaining--
+	}
+	qp, k, last := f.qp, f.k, f.last
+	qp.putReply(f.reply)
+	*f = waitFrame{qp: qp, enqueueK: f.enqueueK, postGroupK: f.postGroupK, got: f.got}
+	qp.frames = append(qp.frames, f)
+	k(last)
 }
 
 // WriteT performs a one-sided RDMA WRITE; k runs with the completion.

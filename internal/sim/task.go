@@ -245,38 +245,6 @@ func (c *Chan[T]) GetTimeoutT(t *Task, d time.Duration, k func(v T, ok bool)) (v
 	return v, false, false
 }
 
-// GetBatchT is GetBatch for tasks: inline when a value is immediately
-// available (returns n>=1, true; fn never runs), else t parks and fn runs
-// with the batch size once the first value lands and the burst is drained.
-func (c *Chan[T]) GetBatchT(t *Task, buf []T, fn func(n int)) (int, bool) {
-	if len(buf) == 0 {
-		return 0, true
-	}
-	if v, ok := c.TryGet(); ok {
-		buf[0] = v
-		return 1 + c.drainInto(buf[1:]), true
-	}
-	c.GetT(t, func(v T) {
-		buf[0] = v
-		fn(1 + c.drainInto(buf[1:]))
-	})
-	return 0, false
-}
-
-// drainInto fills buf with immediately available values, without blocking.
-func (c *Chan[T]) drainInto(buf []T) int {
-	n := 0
-	for n < len(buf) {
-		v, ok := c.TryGet()
-		if !ok {
-			break
-		}
-		buf[n] = v
-		n++
-	}
-	return n
-}
-
 // PutT enqueues v for task t. It reports true when the value was accepted
 // inline (room in the buffer, or a direct hand-off to a waiting getter) — the
 // caller continues and k never runs. When the queue is at capacity t parks,
