@@ -21,11 +21,15 @@ bench:
 # Statistical comparison of the scheduler benchmarks against a recorded
 # baseline, using the bundled dependency-free comparator (cmd/benchcmp —
 # benchstat needs network access to install, this repo builds offline).
-# Override BASELINE to diff against a different recording, e.g.:
+# Override BASELINE to diff against a different recording, and BENCH and
+# BENCH_PKG to compare another benchmark, e.g.:
 #   make bench-compare BASELINE=bench/pr7.txt
+#   make bench-compare BENCH=LeNetInference BENCH_PKG=. BASELINE=old.txt
 BASELINE ?= bench/baseline_pr6.txt
+BENCH ?= BenchmarkSimEngine
+BENCH_PKG ?= ./internal/sim/
 bench-compare:
-	$(GO) test -run '^$$' -bench BenchmarkSimEngine -benchmem -count=10 ./internal/sim/ | tee bench_new.txt
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count=10 $(BENCH_PKG) | tee bench_new.txt
 	$(GO) run ./cmd/benchcmp $(BASELINE) bench_new.txt -json bench/benchcmp.json
 
 # Regression sentinel: record a full attribution baseline artifact (profile

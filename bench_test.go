@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"lynx/internal/apps/lbp"
 	"lynx/internal/apps/lenet"
 	"lynx/internal/experiments"
 )
@@ -201,8 +202,20 @@ func BenchmarkLeNetInference(b *testing.B) {
 	net := lenet.New(1)
 	img := lenet.RenderDigit(7, 0, 0)
 	b.ReportAllocs()
+	b.ResetTimer() // building the weights allocates; the forward pass must not
 	for i := 0; i < b.N; i++ {
 		if _, err := net.Infer(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLBPCompute(b *testing.B) {
+	img := lbp.SynthFace(7, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lbp.Compute(img); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,36 +24,53 @@ const (
 // Histogram is the concatenated per-cell LBP histogram of one image.
 type Histogram [histWords]uint16
 
-// Compute extracts the LBP histogram of a 32x32 image.
+// Compute extracts the LBP histogram of a 32x32 image. Each pixel's code
+// sets bit i when its i-th neighbour, clockwise from top-left, is >= the
+// pixel; a neighbour outside the image reads as 0.
 func Compute(img []byte) (Histogram, error) {
 	var h Histogram
 	if len(img) != ImageBytes {
 		return h, fmt.Errorf("lbp: image is %d bytes, want %d", len(img), ImageBytes)
 	}
-	at := func(y, x int) byte {
-		if y < 0 || y >= Size || x < 0 || x >= Size {
-			return 0
-		}
-		return img[y*Size+x]
+	// A one-pixel zero border stands in for the out-of-image neighbours.
+	var p [Size + 2][Size + 2]byte
+	for y := 0; y < Size; y++ {
+		copy(p[y+1][1:Size+1], img[y*Size:(y+1)*Size])
 	}
 	for y := 0; y < Size; y++ {
-		for x := 0; x < Size; x++ {
-			c := at(y, x)
-			var code byte
-			// Clockwise from top-left.
-			neighbors := [8][2]int{
-				{y - 1, x - 1}, {y - 1, x}, {y - 1, x + 1},
-				{y, x + 1},
-				{y + 1, x + 1}, {y + 1, x}, {y + 1, x - 1},
-				{y, x - 1},
-			}
-			for bit, nb := range neighbors {
-				if at(nb[0], nb[1]) >= c {
-					code |= 1 << uint(bit)
+		up, mid, dn := &p[y], &p[y+1], &p[y+2]
+		for cx := 0; cx < cells; cx++ {
+			cell := (y/cellSize)*cells + cx
+			bins := (*[histBins]uint16)(h[cell*histBins : (cell+1)*histBins])
+			for x := cx * cellSize; x < (cx+1)*cellSize; x++ {
+				c := mid[x+1]
+				var code byte
+				if up[x] >= c {
+					code |= 1 << 0
 				}
+				if up[x+1] >= c {
+					code |= 1 << 1
+				}
+				if up[x+2] >= c {
+					code |= 1 << 2
+				}
+				if mid[x+2] >= c {
+					code |= 1 << 3
+				}
+				if dn[x+2] >= c {
+					code |= 1 << 4
+				}
+				if dn[x+1] >= c {
+					code |= 1 << 5
+				}
+				if dn[x] >= c {
+					code |= 1 << 6
+				}
+				if mid[x] >= c {
+					code |= 1 << 7
+				}
+				bins[code]++
 			}
-			cell := (y/cellSize)*cells + x/cellSize
-			h[cell*histBins+int(code)]++
 		}
 	}
 	return h, nil

@@ -99,98 +99,150 @@ func relu(x float32) float32 {
 
 // Infer runs the forward pass on a 28x28 image given as InputBytes bytes
 // (row-major, 0..255) and returns the 10 class scores.
+//
+// Infer is bit-identical to InferReference: every output element receives the
+// same float32 operations in the same order. A convolution element starts at
+// its bias and adds w·x over the taps in (c, ky, kx) lexicographic order; a
+// tap that falls in conv1's zero padding adds w·0, as the reference's
+// out-of-bounds read does. A dense element starts at its bias and adds w·x
+// over its inputs in ascending order. Only the loop structure and the memory
+// layout differ, and Infer allocates nothing.
 func (n *Network) Infer(img []byte) ([NumClasses]float32, error) {
 	var out [NumClasses]float32
 	if len(img) != InputBytes {
 		return out, fmt.Errorf("lenet: input is %d bytes, want %d", len(img), InputBytes)
 	}
-	// Normalize.
-	var in [InputSize][InputSize]float32
+	// Normalize into a zero-padded frame: pad 2 on every side, so conv1 needs
+	// no bounds test.
+	const padded = InputSize + 4
+	var in [padded][padded]float32
 	for i := 0; i < InputSize; i++ {
-		for j := 0; j < InputSize; j++ {
-			in[i][j] = float32(img[i*InputSize+j])/255*2 - 1
+		row := img[i*InputSize : (i+1)*InputSize]
+		dst := in[i+2][2 : 2+InputSize]
+		for j, px := range row {
+			dst[j] = float32(px)/255*2 - 1
 		}
 	}
-	// conv1: 5x5, pad 2, stride 1 -> 6 x 28 x 28, ReLU.
-	var c1 [6][InputSize][InputSize]float32
-	for f := 0; f < 6; f++ {
-		for y := 0; y < InputSize; y++ {
-			for x := 0; x < InputSize; x++ {
-				sum := n.conv1B[f]
-				for ky := 0; ky < 5; ky++ {
-					for kx := 0; kx < 5; kx++ {
-						iy, ix := y+ky-2, x+kx-2
-						if iy < 0 || iy >= InputSize || ix < 0 || ix >= InputSize {
-							continue
-						}
-						sum += n.conv1W[f][ky][kx] * in[iy][ix]
-					}
-				}
-				c1[f][y][x] = relu(sum)
-			}
-		}
-	}
-	// pool1: 2x2 max -> 6 x 14 x 14.
+	// conv1: 5x5, pad 2 -> 6 x 28 x 28, accumulated in place per filter,
+	// then ReLU + 2x2 max-pool straight off the accumulator -> 6 x 14 x 14.
 	var p1 [6][14][14]float32
+	var acc1 [InputSize][InputSize]float32
 	for f := 0; f < 6; f++ {
-		for y := 0; y < 14; y++ {
-			for x := 0; x < 14; x++ {
-				m := c1[f][2*y][2*x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := c1[f][2*y+dy][2*x+dx]; v > m {
-							m = v
-						}
-					}
-				}
-				p1[f][y][x] = m
+		for y := range acc1 {
+			a := acc1[y][:]
+			fill(a, n.conv1B[f])
+			for ky := 0; ky < 5; ky++ {
+				convRow(a, in[y+ky][:], &n.conv1W[f][ky])
 			}
 		}
-	}
-	// conv2: 5x5, valid -> 16 x 10 x 10, ReLU.
-	var c2 [16][10][10]float32
-	for f := 0; f < 16; f++ {
-		for y := 0; y < 10; y++ {
-			for x := 0; x < 10; x++ {
-				sum := n.conv2B[f]
-				for c := 0; c < 6; c++ {
-					for ky := 0; ky < 5; ky++ {
-						for kx := 0; kx < 5; kx++ {
-							sum += n.conv2W[f][c][ky][kx] * p1[c][y+ky][x+kx]
-						}
-					}
-				}
-				c2[f][y][x] = relu(sum)
-			}
+		for y := range p1[f] {
+			poolRow(p1[f][y][:], acc1[2*y][:], acc1[2*y+1][:])
 		}
 	}
-	// pool2: 2x2 max -> 16 x 5 x 5 = 400, flattened channel-major.
-	flat := make([]float32, 400)
-	idx := 0
+	// conv2: 5x5 valid -> 16 x 10 x 10, then ReLU + 2x2 max-pool -> 16 x 5 x 5
+	// = 400, flattened channel-major.
+	var flat [400]float32
+	var acc2 [10][10]float32
 	for f := 0; f < 16; f++ {
+		for y := range acc2 {
+			a := acc2[y][:]
+			fill(a, n.conv2B[f])
+			for c := 0; c < 6; c++ {
+				for ky := 0; ky < 5; ky++ {
+					convRow(a, p1[c][y+ky][:], &n.conv2W[f][c][ky])
+				}
+			}
+		}
 		for y := 0; y < 5; y++ {
-			for x := 0; x < 5; x++ {
-				m := c2[f][2*y][2*x]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if v := c2[f][2*y+dy][2*x+dx]; v > m {
-							m = v
-						}
-					}
-				}
-				flat[idx] = m
-				idx++
-			}
+			o := f*25 + y*5
+			poolRow(flat[o:o+5], acc2[2*y][:], acc2[2*y+1][:])
 		}
 	}
 	// fc1 -> ReLU -> fc2 -> ReLU -> fc3.
-	h1 := dense(n.fc1W, n.fc1B, flat, true)
-	h2 := dense(n.fc2W, n.fc2B, h1, true)
-	h3 := dense(n.fc3W, n.fc3B, h2, false)
-	copy(out[:], h3)
+	var h1 [120]float32
+	var h2 [84]float32
+	denseInto(h1[:], n.fc1W, n.fc1B, flat[:], true)
+	denseInto(h2[:], n.fc2W, n.fc2B, h1[:], true)
+	denseInto(out[:], n.fc3W, n.fc3B, h2[:], false)
 	return out, nil
 }
 
+func fill(a []float32, v float32) {
+	for i := range a {
+		a[i] = v
+	}
+}
+
+// convRow adds one 5-tap kernel row to an accumulator row a, reading the
+// source row src (len(a)+4 wide). Each element adds its taps kx ascending.
+func convRow(a, src []float32, w *[5]float32) {
+	n := len(a)
+	s0, s1, s2, s3, s4 := src[:n], src[1:n+1], src[2:n+2], src[3:n+3], src[4:n+4]
+	w0, w1, w2, w3, w4 := w[0], w[1], w[2], w[3], w[4]
+	for x := range a {
+		s := a[x]
+		s += w0 * s0[x]
+		s += w1 * s1[x]
+		s += w2 * s2[x]
+		s += w3 * s3[x]
+		s += w4 * s4[x]
+		a[x] = s
+	}
+}
+
+// poolRow writes one row of ReLU + 2x2 max-pool from the accumulator rows r0
+// and r1, comparing each window in the reference pool's order: top-left,
+// top-right, bottom-left, bottom-right.
+func poolRow(dst, r0, r1 []float32) {
+	for x := range dst {
+		m := relu(r0[2*x])
+		if v := relu(r0[2*x+1]); v > m {
+			m = v
+		}
+		if v := relu(r1[2*x]); v > m {
+			m = v
+		}
+		if v := relu(r1[2*x+1]); v > m {
+			m = v
+		}
+		dst[x] = m
+	}
+}
+
+// denseInto computes out = w·in + b (ReLU'd if act) row by row. Four rows
+// share each pass over in, each with its own sum in the same order as dense:
+// bias, then in[0], in[1], ... The four independent sums hide add latency.
+func denseInto(out []float32, w [][]float32, b []float32, in []float32, act bool) {
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		w0, w1, w2, w3 := w[r][:len(in)], w[r+1][:len(in)], w[r+2][:len(in)], w[r+3][:len(in)]
+		s0, s1, s2, s3 := b[r], b[r+1], b[r+2], b[r+3]
+		for c, v := range in {
+			s0 += w0[c] * v
+			s1 += w1[c] * v
+			s2 += w2[c] * v
+			s3 += w3[c] * v
+		}
+		if act {
+			s0, s1, s2, s3 = relu(s0), relu(s1), relu(s2), relu(s3)
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		row := w[r][:len(in)]
+		s := b[r]
+		for c, v := range in {
+			s += row[c] * v
+		}
+		if act {
+			s = relu(s)
+		}
+		out[r] = s
+	}
+}
+
+// dense is InferReference's fully connected layer: a fresh output slice,
+// one row at a time.
 func dense(w [][]float32, b []float32, in []float32, act bool) []float32 {
 	out := make([]float32, len(w))
 	for r := range w {

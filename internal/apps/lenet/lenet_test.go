@@ -2,6 +2,7 @@ package lenet
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -131,9 +132,30 @@ func TestInferTotalProperty(t *testing.T) {
 	}
 }
 
-// Property: the structured forward pass matches the naive reference
-// implementation exactly (same float32 operations in the same order per
-// output element).
+// sameBits reports whether two score vectors are bit-for-bit equal.
+func sameBits(a, b [NumClasses]float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// argmax mirrors Classify's tie-breaking (first maximum wins).
+func argmax(scores [NumClasses]float32) int {
+	best, bestV := 0, float32(math.Inf(-1))
+	for i, v := range scores {
+		if v > bestV {
+			best, bestV = i, v
+		}
+	}
+	return best
+}
+
+// Property: the structured forward pass is bit-identical to the naive
+// reference implementation (same float32 operations in the same order per
+// output element), on perturbed glyphs and on arbitrary pixel data.
 func TestInferMatchesReferenceProperty(t *testing.T) {
 	n := New(77)
 	prop := func(d int8, dx, dy int8, noise uint8) bool {
@@ -144,19 +166,64 @@ func TestInferMatchesReferenceProperty(t *testing.T) {
 		}
 		a, err1 := n.Infer(img)
 		b, err2 := n.InferReference(img)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range a {
-			diff := a[i] - b[i]
-			if diff < -1e-3 || diff > 1e-3 {
-				return false
-			}
-		}
-		return true
+		return err1 == nil && err2 == nil && sameBits(a, b)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+	random := func(img [InputBytes]byte) bool {
+		a, err1 := n.Infer(img[:])
+		b, err2 := n.InferReference(img[:])
+		return err1 == nil && err2 == nil && sameBits(a, b)
+	}
+	if err := quick.Check(random, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every image the LeNet experiments and the benchmark send — digits 0-9 at
+// offsets dx, dy in [-2, 2] — scores bit-identically to the reference and
+// classifies the same, under both weight seeds those callers use.
+func TestInferBitIdenticalOnRequestImages(t *testing.T) {
+	for _, seed := range []uint64{42, 77} {
+		n := New(seed)
+		for d := 0; d < 10; d++ {
+			for dx := -2; dx <= 2; dx++ {
+				for dy := -2; dy <= 2; dy++ {
+					img := RenderDigit(d, dx, dy)
+					got, err := n.Infer(img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := n.InferReference(img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("seed %d digit %d (%d,%d): Infer %v != reference %v", seed, d, dx, dy, got, want)
+					}
+					cls, err := n.Classify(img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref := argmax(want); cls != ref {
+						t.Fatalf("seed %d digit %d (%d,%d): Classify %d, reference %d", seed, d, dx, dy, cls, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The forward pass runs once per served request; it must not allocate.
+func TestInferAllocatesNothing(t *testing.T) {
+	n := New(1)
+	img := RenderDigit(7, 1, -1)
+	if a := testing.AllocsPerRun(100, func() { _, _ = n.Infer(img) }); a != 0 {
+		t.Fatalf("Infer allocates %v times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = n.Classify(img) }); a != 0 {
+		t.Fatalf("Classify allocates %v times per call", a)
 	}
 }
 
